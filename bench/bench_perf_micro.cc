@@ -8,10 +8,10 @@
 // Run with no arguments to also write machine-readable JSON to
 // BENCH_pr9.json (override with the usual --benchmark_out= flags). Graph
 // memory footprints (Graph::MemoryBytes) and process peak RSS are attached
-// as counters, so the bench trajectory tracks space as well as time; the
-// thread-scaling sweeps record how sharded refinement
-// (BM_RefineAllThreads*) and the parallel evaluation engine — clustering,
-// path-length sampling, batch sampling, ego-net measures — scale at
+// as counters, so the bench trajectory tracks space as well as time;
+// BM_RefineAll reports the refiner's work counters, the thread-scaling
+// sweeps record how the parallel evaluation engine — clustering,
+// path-length sampling, batch sampling, ego-net measures — scales at
 // 1/2/4/8 threads, and the end-to-end anonymize bench attaches the
 // pipeline's RefinementStats. The JSON context records
 // hardware_concurrency so single-core containers (where the sweep cannot
@@ -383,12 +383,12 @@ void BM_EquitableRefinementBig(benchmark::State& state) {
 }
 BENCHMARK(BM_EquitableRefinementBig);
 
-// Thread-scaling sweep for the acceptance target of PR 2: RefineAll on the
-// 200k-vertex graph at 1/2/4/8 threads. The Arg(1) row is the sequential
-// baseline (no pool is ever created), so speedup = row1 / rowN.
-void RefineAllWithThreads(benchmark::State& state, const Graph& graph) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  ExecutionContext context(threads);
+// RefineAll on the 200k-vertex BA(200k,4) graph and the 1M-vertex
+// BA(1M,8) graph, with the refiner's machine-independent work counters:
+// elements_scanned stays within 2 * touched_vertices by construction.
+void BM_RefineAll(benchmark::State& state, const Graph& (*make_graph)()) {
+  const Graph& graph = make_graph();
+  ExecutionContext context;
   Refiner refiner(graph, &context);
   for (auto _ : state) {
     OrderedPartition partition(graph.NumVertices(), {});
@@ -396,30 +396,21 @@ void RefineAllWithThreads(benchmark::State& state, const Graph& graph) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(graph.NumVertices()));
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(threads));
-  state.counters["parallel_splitters"] = benchmark::Counter(
-      static_cast<double>(context.stats().parallel_splitters),
-      benchmark::Counter::kAvgIterations);
-  state.counters["cells_split"] = benchmark::Counter(
-      static_cast<double>(context.stats().cells_split),
-      benchmark::Counter::kAvgIterations);
+  const RefinementStats& stats = context.stats();
+  const auto per_pass = [](uint64_t value) {
+    return benchmark::Counter(static_cast<double>(value),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["splitters"] = per_pass(stats.splitters_processed);
+  state.counters["cells_split"] = per_pass(stats.cells_split);
+  state.counters["touched_vertices"] = per_pass(stats.touched_vertices);
+  state.counters["elements_scanned"] = per_pass(stats.elements_scanned);
   AttachMemoryCounters(state, graph);
 }
-
-void BM_RefineAllThreads(benchmark::State& state) {
-  RefineAllWithThreads(state, BigRefineGraph());
-}
-BENCHMARK(BM_RefineAllThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK_CAPTURE(BM_RefineAll, ba200k, &BigRefineGraph)
     ->Unit(benchmark::kMillisecond);
-
-void BM_RefineAllThreadsBigScan(benchmark::State& state) {
-  RefineAllWithThreads(state, BigScanGraph());
-}
-BENCHMARK(BM_RefineAllThreadsBigScan)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)  // Seconds-scale per pass on the 1M-vertex graph.
+BENCHMARK_CAPTURE(BM_RefineAll, ba1m, &BigScanGraph)
+    ->Iterations(1)  // One pass on the 1M-vertex graph is plenty.
     ->Unit(benchmark::kMillisecond);
 
 void BM_AutomorphismSearchEnron(benchmark::State& state) {

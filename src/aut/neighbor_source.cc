@@ -1,7 +1,5 @@
 #include "aut/neighbor_source.h"
 
-#include <atomic>
-
 #include "simd/simd.h"
 #include "simd/splitter.h"
 
@@ -12,8 +10,8 @@ namespace ksym {
 // count[v] += |N(v) ∩ splitter-bitmap| — with the vectorized bitset kernel.
 // Both directions perform the same multiset of increments (u ∈ splitter is
 // adjacent to v iff v's sorted list contains u), so counts and therefore
-// split plans and trace hashes are identical; only the touched *order*
-// changes (ascending v), which the refiner sorts away by contract. At
+// splits and trace hashes are identical; only the touched *order* changes
+// (ascending v), which the refiner sorts away by contract. At
 // kScalar the verbatim loops below run unchanged, keeping a true baseline.
 bool CsrNeighborSource::PrepareDenseSplitter(
     std::span<const VertexId> splitter) {
@@ -56,51 +54,6 @@ void CsrNeighborSource::CountSplitter(std::span<const VertexId> splitter,
       if (count[v]++ == 0) touched.push_back(v);
     }
   }
-  simd::AddSimdCalls(simd::SimdKernel::kSplitterScalar, 1);
-}
-
-void CsrNeighborSource::CountSplitterParallel(
-    ThreadPool* pool, std::span<const VertexId> splitter,
-    std::span<uint32_t> count, std::span<std::vector<VertexId>> touched) {
-  if (PrepareDenseSplitter(splitter)) {
-    // Target-side counting shards over v, so each count[v] has exactly one
-    // writer — no atomics — and the worker that owns v records it touched.
-    const simd::SimdLevel simd_level = simd::ActiveSimdLevel();
-    const uint64_t* bits = splitter_bits_.data();
-    ParallelFor(pool, graph_.NumVertices(),
-                [this, count, touched, bits, simd_level](
-                    size_t begin, size_t end, uint32_t shard) {
-                  std::vector<VertexId>& mine = touched[shard];
-                  for (size_t i = begin; i < end; ++i) {
-                    const VertexId v = static_cast<VertexId>(i);
-                    const auto nv = graph_.Neighbors(v);
-                    const uint64_t hits = simd::CountBitsetHits(
-                        simd_level, nv.data(), nv.size(), bits);
-                    if (hits != 0) {
-                      if (count[v] == 0) mine.push_back(v);
-                      count[v] += static_cast<uint32_t>(hits);
-                    }
-                  }
-                });
-    simd::AddSimdCalls(simd::SimdKernel::kSplitterDense, 1);
-    return;
-  }
-  // Concurrent increments of count[v] use atomic_ref; the worker that lifts
-  // v's count off zero records it as touched (exactly one does, so the
-  // union of the touched lists has no duplicates).
-  ParallelFor(pool, splitter.size(),
-              [this, splitter, count, touched](size_t begin, size_t end,
-                                               uint32_t shard) {
-                std::vector<VertexId>& mine = touched[shard];
-                for (size_t i = begin; i < end; ++i) {
-                  for (VertexId v : graph_.Neighbors(splitter[i])) {
-                    std::atomic_ref<uint32_t> c(count[v]);
-                    if (c.fetch_add(1, std::memory_order_relaxed) == 0) {
-                      mine.push_back(v);
-                    }
-                  }
-                }
-              });
   simd::AddSimdCalls(simd::SimdKernel::kSplitterScalar, 1);
 }
 

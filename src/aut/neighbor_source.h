@@ -5,20 +5,20 @@
 // worklists) is O(n) vertex state. NeighborSource abstracts exactly that
 // inner loop — "count, per vertex, how many splitter members are adjacent
 // to it" — at whole-splitter granularity, so the refiner pays one virtual
-// call per splitter instead of one per edge, and the same split-plan
-// build/merge code runs over an in-memory CSR graph (CsrNeighborSource,
-// below) or an out-of-core shard set (ShardedNeighborSource in
-// shard/refine.h) without knowing which.
+// call per splitter instead of one per edge, and the same splitting code
+// runs over an in-memory CSR graph (CsrNeighborSource, below), an
+// out-of-core shard set (ShardedNeighborSource in shard/refine.h) or an
+// edit overlay (DeltaNeighborSource in dyn/delta_graph.h) without knowing
+// which.
 //
-// Contract shared by both entry points: `count` has NumVertices() entries,
-// all zero on entry except those already incremented by earlier calls for
-// the *same* splitter (the refiner never interleaves splitters). Each
-// neighbor occurrence increments its count by one; the call that lifts a
-// vertex's count off zero appends that vertex to a touched list, so the
-// union of the touched lists enumerates {v : count[v] > 0} exactly once.
+// Contract: `count` has NumVertices() entries, all zero on entry. Each
+// neighbor occurrence increments its count by one; the increment that
+// lifts a vertex's count off zero appends that vertex to `touched`, so
+// `touched` enumerates {v : count[v] > 0} exactly once, in any order.
 // Counts are commutative sums, so any implementation that performs the same
-// multiset of increments is equivalent — the refiner sorts away touched
-// order before it feeds anything into the trace hash (DESIGN.md §7, §11).
+// multiset of increments is equivalent: the refiner orders each cell's
+// touched members by (count, vertex id) before it moves them or folds
+// anything into the trace hash (DESIGN.md §7, §11).
 
 #ifndef KSYM_AUT_NEIGHBOR_SOURCE_H_
 #define KSYM_AUT_NEIGHBOR_SOURCE_H_
@@ -27,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace ksym {
@@ -39,21 +38,11 @@ class NeighborSource {
   /// Number of vertices of the underlying graph (sizes the count array).
   virtual size_t NumVertices() const = 0;
 
-  /// Sequential counting pass: for every edge (u, v) with u in `splitter`,
+  /// Counting pass: for every edge (u, v) with u in `splitter`,
   /// ++count[v], appending v to `touched` when its count lifts off zero.
   virtual void CountSplitter(std::span<const VertexId> splitter,
                              std::span<uint32_t> count,
                              std::vector<VertexId>& touched) = 0;
-
-  /// Parallel counting pass over `pool`: same increments, performed with
-  /// relaxed atomics; the worker that lifts v off zero appends v to
-  /// touched[worker]. `touched` has one list per pool worker, and each list
-  /// is written only by its worker. Counts (and the touched union) are
-  /// identical to CountSplitter's for any worker count.
-  virtual void CountSplitterParallel(
-      ThreadPool* pool, std::span<const VertexId> splitter,
-      std::span<uint32_t> count,
-      std::span<std::vector<VertexId>> touched) = 0;
 };
 
 /// The in-memory implementation: one resident CSR Graph. This is the path
@@ -69,11 +58,6 @@ class CsrNeighborSource final : public NeighborSource {
   void CountSplitter(std::span<const VertexId> splitter,
                      std::span<uint32_t> count,
                      std::vector<VertexId>& touched) override;
-
-  void CountSplitterParallel(ThreadPool* pool,
-                             std::span<const VertexId> splitter,
-                             std::span<uint32_t> count,
-                             std::span<std::vector<VertexId>> touched) override;
 
  private:
   /// True when the dense target-side pass should handle this splitter;

@@ -57,24 +57,12 @@ uint32_t OrderedPartition::TargetCell() const {
 
 uint32_t OrderedPartition::Individualize(VertexId v) {
   const uint32_t start = cell_start_[v];
-  const uint32_t size = cell_size_[start];
-  KSYM_CHECK(size >= 2);
-  // Swap v to the *end* of its cell and carve [start, size-1] | [v]. The
-  // remainder keeps its start id, so only v's bookkeeping changes: O(1),
-  // and so is the revert (journal num_groups == 0 marks this case).
-  const uint32_t tail = start + size - 1;
-  const uint32_t vpos = position_[v];
-  const VertexId other = elements_[tail];
-  elements_[tail] = v;
-  elements_[vpos] = other;
-  position_[v] = tail;
-  position_[other] = vpos;
-  cell_size_[start] = size - 1;
-  cell_size_[tail] = 1;
-  cell_start_[v] = tail;
-  ++num_cells_;
-  journal_.push_back({start, size, 0});
-  return tail;
+  KSYM_CHECK(cell_size_[start] >= 2);
+  // Carve [start, size-1] | [v]: the remainder keeps its start id, so only
+  // v's bookkeeping changes, O(1), and so is the revert.
+  const uint32_t one = 1;
+  Carve(start, {&v, 1}, {&one, 1});
+  return cell_start_[v];
 }
 
 std::vector<std::vector<VertexId>> OrderedPartition::Cells() const {
@@ -97,26 +85,51 @@ Permutation OrderedPartition::ToLabeling() const {
   return Permutation(std::move(images));
 }
 
-void OrderedPartition::SplitCell(uint32_t start,
-                                 const std::vector<VertexId>& reordered,
-                                 const std::vector<uint32_t>& group_sizes) {
-  KSYM_DCHECK(reordered.size() == cell_size_[start]);
-  uint32_t pos = start;
-  size_t idx = 0;
-  for (uint32_t gsize : group_sizes) {
-    const uint32_t gstart = pos;
-    cell_size_[gstart] = gsize;
-    for (uint32_t i = 0; i < gsize; ++i, ++idx, ++pos) {
-      const VertexId v = reordered[idx];
-      elements_[pos] = v;
-      position_[v] = pos;
-      cell_start_[v] = gstart;
-    }
+uint32_t OrderedPartition::Carve(uint32_t start,
+                                 std::span<const VertexId> tail,
+                                 std::span<const uint32_t> tail_groups) {
+  const uint32_t size = cell_size_[start];
+  const uint32_t tail_size = static_cast<uint32_t>(tail.size());
+  KSYM_DCHECK(tail_size >= 1 && tail_size <= size);
+  // Swap each tail member into place. Slots already filled hold earlier
+  // tail members, so a later swap never disturbs them.
+  const uint32_t tail_start = start + size - tail_size;
+  uint32_t displaced = 0;
+  for (uint32_t i = 0; i < tail_size; ++i) {
+    const VertexId v = tail[i];
+    KSYM_DCHECK(cell_start_[v] == start);
+    const uint32_t to = tail_start + i;
+    const uint32_t from = position_[v];
+    if (from == to) continue;
+    const VertexId other = elements_[to];
+    elements_[from] = other;
+    position_[other] = from;
+    elements_[to] = v;
+    position_[v] = to;
+    ++displaced;
   }
-  KSYM_DCHECK(idx == reordered.size());
-  num_cells_ += group_sizes.size() - 1;
-  journal_.push_back({start, static_cast<uint32_t>(reordered.size()),
-                      static_cast<uint32_t>(group_sizes.size())});
+  // Cut the groups. Only groups past the first get a new start.
+  uint32_t first_size = size - tail_size;
+  uint32_t num_groups = first_size > 0 ? 1 : 0;
+  uint32_t pos = tail_start;
+  for (const uint32_t group_size : tail_groups) {
+    if (pos == start) {
+      first_size = group_size;
+    } else {
+      for (uint32_t i = pos; i < pos + group_size; ++i) {
+        cell_start_[elements_[i]] = pos;
+      }
+    }
+    cell_size_[pos] = group_size;
+    pos += group_size;
+    ++num_groups;
+  }
+  KSYM_DCHECK(pos == start + size);
+  KSYM_CHECK(num_groups >= 2);
+  cell_size_[start] = first_size;
+  num_cells_ += num_groups - 1;
+  journal_.push_back({start, size, first_size, num_groups});
+  return displaced;
 }
 
 void OrderedPartition::RevertTo(size_t mark) {
@@ -125,16 +138,11 @@ void OrderedPartition::RevertTo(size_t mark) {
     const SplitRecord record = journal_.back();
     journal_.pop_back();
     target_hint_ = std::min(target_hint_, record.start);
-    if (record.num_groups == 0) {
-      // Individualize: merge the tail singleton back; nothing else moved.
-      const uint32_t tail = record.start + record.old_size - 1;
-      cell_start_[elements_[tail]] = record.start;
-      cell_size_[record.start] = record.old_size;
-      --num_cells_;
-      continue;
-    }
+    // Later splits inside the first group were reverted already, so only
+    // the elements past it name another start.
     cell_size_[record.start] = record.old_size;
-    for (uint32_t i = record.start; i < record.start + record.old_size; ++i) {
+    for (uint32_t i = record.start + record.first_size;
+         i < record.start + record.old_size; ++i) {
       cell_start_[elements_[i]] = record.start;
     }
     num_cells_ -= record.num_groups - 1;
@@ -147,22 +155,23 @@ Refiner::Refiner(const Graph& graph, const ExecutionContext* context)
     : source_(nullptr),
       owned_source_(std::make_unique<CsrNeighborSource>(graph)),
       context_(context),
-      count_(graph.NumVertices(), 0) {
+      count_(graph.NumVertices(), 0),
+      in_queue_(count_.size(), 0),
+      cell_touched_(count_.size(), 0) {
   source_ = owned_source_.get();
-  touched_.reserve(count_.size());
-  if (context_ != nullptr && !context_->IsSequential()) {
-    shards_.resize(context_->threads());
-    touched_shards_.resize(context_->threads());
-  }
 }
 
 Refiner::Refiner(NeighborSource& source, const ExecutionContext* context)
-    : source_(&source), context_(context), count_(source.NumVertices(), 0) {
-  touched_.reserve(count_.size());
-  if (context_ != nullptr && !context_->IsSequential()) {
-    shards_.resize(context_->threads());
-    touched_shards_.resize(context_->threads());
-  }
+    : source_(&source),
+      context_(context),
+      count_(source.NumVertices(), 0),
+      in_queue_(count_.size(), 0),
+      cell_touched_(count_.size(), 0) {}
+
+void Refiner::Enqueue(uint32_t start) {
+  if (in_queue_[start] != 0) return;
+  in_queue_[start] = 1;
+  worklist_.push_back(start);
 }
 
 uint64_t Refiner::RefineAll(OrderedPartition& p) {
@@ -171,7 +180,7 @@ uint64_t Refiner::RefineAll(OrderedPartition& p) {
   uint32_t pos = 0;
   const uint32_t n = static_cast<uint32_t>(p.NumVertices());
   while (pos < n) {
-    worklist_.push_back(pos);
+    Enqueue(pos);
     pos += p.CellSizeAt(pos);
   }
   return DoRefine(p);
@@ -179,42 +188,35 @@ uint64_t Refiner::RefineAll(OrderedPartition& p) {
 
 uint64_t Refiner::RefineFrom(OrderedPartition& p, uint32_t seed_start) {
   worklist_.clear();
-  worklist_.push_back(seed_start);
+  Enqueue(seed_start);
   return DoRefine(p);
 }
 
 uint64_t Refiner::RefineSeeded(OrderedPartition& p,
                                std::span<const uint32_t> seed_starts) {
-  worklist_.assign(seed_starts.begin(), seed_starts.end());
+  worklist_.clear();
+  for (const uint32_t start : seed_starts) Enqueue(start);
   return DoRefine(p);
 }
 
 uint64_t Refiner::DoRefine(OrderedPartition& p) {
   ScopedPhaseTimer refine_timer(context_, &RefinementStats::refine_seconds);
-  ThreadPool* pool = context_ != nullptr && !context_->IsSequential()
-                         ? context_->pool()
-                         : nullptr;
   uint64_t hash = 0x243F6A8885A308D3ull;
+  cells_split_ = touched_vertices_ = elements_scanned_ = 0;
   size_t head = 0;
-
   while (head < worklist_.size()) {
     const uint32_t w_start = worklist_[head++];
-    // Snapshot the splitter: the cell currently starting at w_start (a
-    // subset of the cell that was scheduled, which is still a valid
-    // refinement step; any carved-off siblings were scheduled separately).
-    const auto w_span = p.CellAt(w_start);
-    splitter_.assign(w_span.begin(), w_span.end());
-
-    if (pool != nullptr) {
-      ProcessSplitterSharded(p, w_start, pool, hash);
-    } else {
-      ProcessSplitterSequential(p, w_start, hash);
-    }
+    in_queue_[w_start] = 0;
+    ProcessSplitter(p, w_start, hash);
   }
 
   if (context_ != nullptr) {
-    ++context_->stats().refine_calls;
-    context_->stats().splitters_processed += head;
+    RefinementStats& stats = context_->stats();
+    ++stats.refine_calls;
+    stats.splitters_processed += head;
+    stats.cells_split += cells_split_;
+    stats.touched_vertices += touched_vertices_;
+    stats.elements_scanned += elements_scanned_;
   }
 
   // The per-split records already pin down the resulting structure given
@@ -224,189 +226,129 @@ uint64_t Refiner::DoRefine(OrderedPartition& p) {
   return hash;
 }
 
-void Refiner::ProcessSplitterSequential(OrderedPartition& p, uint32_t w_start,
-                                        uint64_t& hash) {
-  // Scratch buffers live on the Refiner: this runs millions of times per
-  // automorphism search and per-call allocation dominates otherwise.
-  std::vector<uint32_t>& affected = affected_;
-  std::vector<std::pair<uint32_t, VertexId>>& keyed = keyed_;
-  std::vector<VertexId>& reordered = reordered_;
-  std::vector<uint32_t>& group_sizes = group_sizes_;
+void Refiner::ProcessSplitter(OrderedPartition& p, uint32_t w_start,
+                              uint64_t& hash) {
+  // Count neighbours in the splitter — the cell now starting at w_start,
+  // a subset of the cell that was queued, which is still a valid step (any
+  // carved-off sibling is queued or derivable). The count reads the cell
+  // before any split below moves it. This is the only edge access in
+  // refinement: one virtual call per splitter.
+  source_->CountSplitter(p.CellAt(w_start), count_, touched_);
+  touched_vertices_ += touched_.size();
 
-  // Count neighbours in the splitter (the only edge access in refinement,
-  // delegated to the source seam — one virtual call per splitter).
-  source_->CountSplitter(splitter_, count_, touched_);
-
-  // Affected cells, in invariant (ascending start) order.
-  affected.clear();
-  for (VertexId v : touched_) {
-    affected.push_back(p.CellStartOf(v));
+  // Affected cells, in invariant (ascending start) order, with the number
+  // of touched members of each. Singleton cells cannot split.
+  affected_.clear();
+  for (const VertexId v : touched_) {
+    const uint32_t c_start = p.CellStartOf(v);
+    if (p.CellSizeAt(c_start) == 1) continue;
+    if (cell_touched_[c_start]++ == 0) affected_.push_back(c_start);
   }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
+  std::sort(affected_.begin(), affected_.end());
 
-  for (uint32_t c_start : affected) {
-    const uint32_t c_size = p.CellSizeAt(c_start);
-    if (c_size == 1) continue;
-    const auto cell = p.CellAt(c_start);
-    keyed.clear();
-    uint32_t min_count = static_cast<uint32_t>(-1);
-    uint32_t max_count = 0;
-    for (VertexId v : cell) {
-      const uint32_t c = count_[v];
-      min_count = std::min(min_count, c);
-      max_count = std::max(max_count, c);
-      keyed.emplace_back(c, v);
-    }
-    if (min_count == max_count) continue;  // Uniform: no split.
-
-    std::sort(keyed.begin(), keyed.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    reordered.clear();
-    group_sizes.clear();
-    uint32_t group_len = 0;
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      reordered.push_back(keyed[i].second);
-      ++group_len;
-      const bool last = i + 1 == keyed.size();
-      if (last || keyed[i + 1].first != keyed[i].first) {
-        group_sizes.push_back(group_len);
-        hash = HashMix(hash, (uint64_t{c_start} << 32) | keyed[i].first);
-        hash = HashMix(hash, group_len);
-        group_len = 0;
-      }
-    }
-    p.SplitCell(c_start, reordered, group_sizes);
-    if (context_ != nullptr) ++context_->stats().cells_split;
-    // Schedule every new sub-cell as a splitter.
-    uint32_t sub_start = c_start;
-    for (uint32_t gsize : group_sizes) {
-      worklist_.push_back(sub_start);
-      sub_start += gsize;
-    }
-    hash = HashMix(hash, (uint64_t{w_start} << 32) | c_start);
+  // Group the touched members by cell: cell_touched_ becomes each cell's
+  // write cursor into grouped_, then its end offset.
+  uint32_t offset = 0;
+  for (const uint32_t c_start : affected_) {
+    const uint32_t members = cell_touched_[c_start];
+    cell_touched_[c_start] = offset;
+    offset += members;
+  }
+  grouped_.resize(offset);
+  for (const VertexId v : touched_) {
+    const uint32_t c_start = p.CellStartOf(v);
+    if (p.CellSizeAt(c_start) == 1) continue;
+    grouped_[cell_touched_[c_start]++] = v;
   }
 
-  // Reset scratch.
-  for (VertexId v : touched_) count_[v] = 0;
+  // Split in ascending cell order. A split only creates starts inside its
+  // own cell, so the other affected cells' starts stay valid.
+  uint32_t begin = 0;
+  for (const uint32_t c_start : affected_) {
+    const uint32_t end = cell_touched_[c_start];
+    cell_touched_[c_start] = 0;
+    SplitAffected(p, w_start, c_start,
+                  std::span<VertexId>(grouped_).subspan(begin, end - begin),
+                  hash);
+    begin = end;
+  }
+
+  for (const VertexId v : touched_) count_[v] = 0;
   touched_.clear();
 }
 
-// The sharded variant of one splitter step. Counting and the affected-cell
-// scan shard across the pool (each gated by its grain — below the grain the
-// phase runs inline as shard 0 through the same code); the merge applies the
-// computed splits sequentially in ascending affected-cell order.
-//
-// Determinism / bit-identity argument (also in DESIGN.md §7):
-//   * counts are sums of per-edge contributions — commutative, so the
-//     atomic relaxed increments yield exactly the sequential counts;
-//   * the affected array is sorted + deduped, erasing shard discovery order;
-//   * each affected cell's split is a pure function of (cell contents,
-//     counts), computed by exactly one shard; static chunking assigns cells
-//     to shards in ascending order, so concatenating the shards' plans
-//     recovers the sequential cell order;
-//   * SplitCell applications and every HashMix fold happen only in the
-//     merge, in that order — identical to the sequential interleaving.
-void Refiner::ProcessSplitterSharded(OrderedPartition& p, uint32_t w_start,
-                                     ThreadPool* pool, uint64_t& hash) {
-  RefinementStats& stats = context_->stats();
-
-  // Phase 1: count neighbours in the splitter, via the source seam. Above
-  // the grain the source shards over the pool (relaxed atomic increments;
-  // the worker that lifts v's count off zero records it in its own touched
-  // list, so the union of the lists has no duplicates); below it, the
-  // sequential pass runs into slot 0.
-  const bool shard_count = splitter_.size() >= context_->splitter_grain;
-  if (shard_count) {
-    source_->CountSplitterParallel(pool, splitter_, count_, touched_shards_);
-  } else {
-    source_->CountSplitter(splitter_, count_, touched_shards_[0]);
+void Refiner::SplitAffected(OrderedPartition& p, uint32_t w_start,
+                            uint32_t c_start, std::span<VertexId> tail,
+                            uint64_t& hash) {
+  const uint32_t c_size = p.CellSizeAt(c_start);
+  const uint32_t tail_size = static_cast<uint32_t>(tail.size());
+  elements_scanned_ += tail_size;
+  if (tail_size == c_size) {
+    // Every member touched: the cell splits only on unequal counts.
+    const uint32_t first_count = count_[tail[0]];
+    bool uniform = true;
+    for (const VertexId v : tail) uniform &= count_[v] == first_count;
+    if (uniform) return;
   }
 
-  // Phase 2: affected cells, in invariant (ascending start) order.
-  affected_.clear();
-  for (const std::vector<VertexId>& touched : touched_shards_) {
-    for (VertexId v : touched) affected_.push_back(p.CellStartOf(v));
+  // Sort the touched members by (count, id): the resulting layout depends
+  // only on the touched set and its counts, not on the order the source
+  // reported them.
+  keys_.clear();
+  for (const VertexId v : tail) {
+    keys_.push_back(uint64_t{count_[v]} << 32 | v);
   }
-  std::sort(affected_.begin(), affected_.end());
-  affected_.erase(std::unique(affected_.begin(), affected_.end()),
-                  affected_.end());
+  std::sort(keys_.begin(), keys_.end());
 
-  // Phase 3: scan affected cells into split plans. Disjoint cells, and `p`
-  // and count_ are read-only here, so shards are fully independent.
-  for (ShardScratch& shard : shards_) shard.plans.clear();
-  const bool shard_scan = affected_.size() >= context_->affected_grain;
-  const auto scan = [this, &p](size_t begin, size_t end, uint32_t shard_index) {
-    ShardScratch& scratch = shards_[shard_index];
-    for (size_t idx = begin; idx < end; ++idx) {
-      const uint32_t c_start = affected_[idx];
-      const uint32_t c_size = p.CellSizeAt(c_start);
-      if (c_size == 1) continue;
-      const auto cell = p.CellAt(c_start);
-      std::vector<std::pair<uint32_t, VertexId>>& keyed = scratch.keyed;
-      keyed.clear();
-      uint32_t min_count = static_cast<uint32_t>(-1);
-      uint32_t max_count = 0;
-      for (VertexId v : cell) {
-        const uint32_t c = count_[v];
-        min_count = std::min(min_count, c);
-        max_count = std::max(max_count, c);
-        keyed.emplace_back(c, v);
-      }
-      if (min_count == max_count) continue;  // Uniform: no split.
-
-      std::sort(keyed.begin(), keyed.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      SplitPlan plan;
-      plan.cell_start = c_start;
-      plan.reordered.reserve(keyed.size());
-      uint32_t group_len = 0;
-      for (size_t i = 0; i < keyed.size(); ++i) {
-        plan.reordered.push_back(keyed[i].second);
-        ++group_len;
-        const bool last = i + 1 == keyed.size();
-        if (last || keyed[i + 1].first != keyed[i].first) {
-          plan.group_sizes.push_back(group_len);
-          plan.group_keys.push_back(keyed[i].first);
-          group_len = 0;
-        }
-      }
-      scratch.plans.push_back(std::move(plan));
+  // Groups in ascending count order; the zero-count remainder, if any,
+  // comes first. Fold (cell, count, size) of each group into the hash.
+  const uint32_t head_size = c_size - tail_size;
+  if (head_size > 0) {
+    hash = HashMix(hash, uint64_t{c_start} << 32);
+    hash = HashMix(hash, head_size);
+  }
+  group_sizes_.clear();
+  for (size_t i = 0; i < keys_.size();) {
+    const uint32_t count = static_cast<uint32_t>(keys_[i] >> 32);
+    size_t j = i;
+    for (; j < keys_.size() && keys_[j] >> 32 == count; ++j) {
+      tail[j] = static_cast<VertexId>(keys_[j]);
     }
-  };
-  if (shard_scan) {
-    ParallelFor(pool, affected_.size(), scan);
-  } else {
-    scan(0, affected_.size(), 0);
+    const uint32_t group_size = static_cast<uint32_t>(j - i);
+    group_sizes_.push_back(group_size);
+    hash = HashMix(hash, (uint64_t{c_start} << 32) | count);
+    hash = HashMix(hash, group_size);
+    i = j;
   }
-  if (shard_count || shard_scan) ++stats.parallel_splitters;
+  elements_scanned_ += p.Carve(c_start, tail, group_sizes_);
+  ++cells_split_;
 
-  // Phase 4: deterministic merge. Shards hold plans for ascending chunks of
-  // affected_, so this applies splits in exactly the sequential cell order.
-  for (const ShardScratch& shard : shards_) {
-    for (const SplitPlan& plan : shard.plans) {
-      for (size_t g = 0; g < plan.group_sizes.size(); ++g) {
-        hash = HashMix(hash,
-                       (uint64_t{plan.cell_start} << 32) | plan.group_keys[g]);
-        hash = HashMix(hash, plan.group_sizes[g]);
+  // Hopcroft's rule. A queued cell keeps its entry at c_start, so queue the
+  // other parts. Otherwise the partition is stable with respect to the old
+  // cell, which makes one part derivable from the rest: queue every part
+  // but the first largest in position order.
+  uint32_t skip = c_start;
+  if (in_queue_[c_start] == 0) {
+    uint32_t largest = head_size;
+    uint32_t part = c_start + head_size;
+    for (const uint32_t group_size : group_sizes_) {
+      if (group_size > largest) {
+        largest = group_size;
+        skip = part;
       }
-      p.SplitCell(plan.cell_start, plan.reordered, plan.group_sizes);
-      ++stats.cells_split;
-      uint32_t sub_start = plan.cell_start;
-      for (uint32_t gsize : plan.group_sizes) {
-        worklist_.push_back(sub_start);
-        sub_start += gsize;
-      }
-      hash = HashMix(hash, (uint64_t{w_start} << 32) | plan.cell_start);
+      part += group_size;
     }
   }
-
-  // Phase 5: reset counts.
-  for (std::vector<VertexId>& touched : touched_shards_) {
-    for (VertexId v : touched) count_[v] = 0;
-    touched.clear();
+  uint32_t part = c_start;
+  if (head_size > 0) {
+    if (part != skip) Enqueue(part);
+    part += head_size;
   }
+  for (const uint32_t group_size : group_sizes_) {
+    if (part != skip) Enqueue(part);
+    part += group_size;
+  }
+  hash = HashMix(hash, (uint64_t{w_start} << 32) | c_start);
 }
 
 std::vector<std::vector<VertexId>> EquitablePartition(

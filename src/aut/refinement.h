@@ -12,6 +12,11 @@
 // processing orders (worklist order, affected-cell order, count order) are
 // isomorphism-invariant, which makes the refinement trace hash usable for
 // search-tree pruning and canonical labelling.
+//
+// The refiner follows the Hopcroft / Paige-Tarjan schedule that nauty and
+// Traces use (DESIGN.md §7): a split touches only the vertices with a
+// nonzero count, a newly split cell that is not queued queues every part
+// but one largest, and the worklist holds each cell at most once.
 
 #ifndef KSYM_AUT_REFINEMENT_H_
 #define KSYM_AUT_REFINEMENT_H_
@@ -19,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "aut/neighbor_source.h"
@@ -68,12 +72,16 @@ class OrderedPartition {
   /// For a discrete partition: the labelling vertex -> position.
   Permutation ToLabeling() const;
 
-  /// Replaces the segment [start, start+total) by consecutive groups whose
-  /// sizes are `group_sizes` and whose elements are `reordered` (a
-  /// permutation of the segment's current contents). Internal helper for the
-  /// refiner; exposed for tests.
-  void SplitCell(uint32_t start, const std::vector<VertexId>& reordered,
-                 const std::vector<uint32_t>& group_sizes);
+  /// Splits the cell starting at `start` in place. `tail` lists distinct
+  /// members of that cell; they move, in this order, to the end of the
+  /// cell and are cut into consecutive groups of sizes `tail_groups`
+  /// (summing to |tail|). The members not in `tail` stay in front as the
+  /// first group and keep the cell start; when `tail` is the whole cell,
+  /// its first group keeps it. The split must yield at least two groups.
+  /// Costs O(|tail|), and so does reverting it. Returns how many elements
+  /// the moves displaced.
+  uint32_t Carve(uint32_t start, std::span<const VertexId> tail,
+                 std::span<const uint32_t> tail_groups);
 
   /// Backtracking support: every split (including Individualize) is
   /// journaled. JournalMark() before a speculative step, RevertTo(mark) to
@@ -86,6 +94,7 @@ class OrderedPartition {
   struct SplitRecord {
     uint32_t start;
     uint32_t old_size;
+    uint32_t first_size;  // The first group kept cell_start_ == start.
     uint32_t num_groups;
   };
 
@@ -103,7 +112,7 @@ class OrderedPartition {
 struct RefinementOptions {
   /// Initial colouring (empty = unit partition), as for OrderedPartition.
   std::vector<uint32_t> colors = {};
-  /// Execution policy (threads, grains, stats sink). nullptr = sequential.
+  /// Stats sink for refinement counters and timers. nullptr = none.
   const ExecutionContext* context = nullptr;
   /// If non-null, receives the refinement trace hash — the
   /// isomorphism-invariant digest RefineAll returns, bit-identical across
@@ -113,17 +122,26 @@ struct RefinementOptions {
 
 /// Stateful refiner holding scratch buffers keyed to one graph.
 ///
-/// With a context whose threads > 1, large splitters shard their neighbour
-/// counting and affected-cell scans across the context's pool; the split
-/// merge stays sequential in affected-cell order, so the resulting
-/// partition *and* the trace hash are bit-identical to the sequential path
-/// (see DESIGN.md §7, "Parallel refinement").
+/// One sequential splitter loop (DESIGN.md §7). For each splitter W it
+/// counts, per vertex, the neighbours in W; in each affected cell it sorts
+/// only the touched members by (count, vertex id), moves them to the cell
+/// tail and carves them into groups, leaving the zero-count remainder in
+/// front as the first group. Work per splitter is O(touched log touched),
+/// independent of the affected cells' sizes. A split cell that is already
+/// queued queues its new parts; otherwise every part but the first largest
+/// is queued. Loop invariant: the partition is stable with respect to every
+/// cell that is neither queued nor derivable (a stable set minus queued or
+/// stable parts), so an empty worklist means equitable.
+///
+/// The layout a split produces depends only on the set of touched vertices
+/// and their counts, never on the order a NeighborSource reports them, so
+/// the partition and the trace hash are bit-identical across sources, SIMD
+/// levels and thread counts. The context only collects stats.
 ///
 /// The Graph constructors bind the refiner to an in-memory CSR source; the
 /// NeighborSource constructor accepts any implementation of the counting
-/// seam (e.g. ShardedNeighborSource for out-of-core shard sets) — the
-/// split-plan build/merge and the trace hash are source-agnostic
-/// (DESIGN.md §11).
+/// seam (e.g. ShardedNeighborSource for out-of-core shard sets) — splitting
+/// and the trace hash are source-agnostic (DESIGN.md §11).
 class Refiner {
  public:
   explicit Refiner(const Graph& graph);
@@ -144,56 +162,51 @@ class Refiner {
   /// Refines with the worklist seeded by an explicit set of current cell
   /// starts — the incremental-repair entry point (dyn/repair.h). The caller
   /// owns the soundness argument: the fixpoint is only the coarsest
-  /// equitable refinement of `p` if every cell NOT seeded is already
-  /// uniform against every cell of that fixpoint (DESIGN.md §15 spells out
-  /// the seed set the dynamic layer uses). `seed_starts` must be
-  /// duplicate-free cell starts of `p`; scheduling order follows the given
-  /// order, so pass them sorted for a deterministic trace. Returns the
-  /// trace hash.
+  /// equitable refinement of `p` if `p` is already stable with respect to
+  /// every cell NOT seeded (DESIGN.md §15 spells out the seed set the
+  /// dynamic layer uses). `seed_starts` must be duplicate-free cell starts
+  /// of `p`; scheduling order follows the given order, so pass them sorted
+  /// for a deterministic trace. Returns the trace hash.
   uint64_t RefineSeeded(OrderedPartition& p,
                         std::span<const uint32_t> seed_starts);
 
  private:
-  /// A split computed by one shard, applied later by the merge step.
-  struct SplitPlan {
-    uint32_t cell_start;
-    std::vector<VertexId> reordered;
-    std::vector<uint32_t> group_sizes;
-    std::vector<uint32_t> group_keys;  // Neighbour count per group (hash).
-  };
-
-  /// Thread-local scratch; shards_[s] is written only by shard s.
-  struct ShardScratch {
-    std::vector<std::pair<uint32_t, VertexId>> keyed;
-    std::vector<SplitPlan> plans;
-  };
+  /// Queues the cell starting at `start` unless it is already queued.
+  void Enqueue(uint32_t start);
 
   /// Refines using the splitter cells currently queued in worklist_.
   uint64_t DoRefine(OrderedPartition& p);
 
-  /// One splitter's count/scan/split step, sequential and sharded variants.
-  /// Both mutate `hash` and append new splitter cells to worklist_.
-  void ProcessSplitterSequential(OrderedPartition& p, uint32_t w_start,
-                                 uint64_t& hash);
-  void ProcessSplitterSharded(OrderedPartition& p, uint32_t w_start,
-                              ThreadPool* pool, uint64_t& hash);
+  /// One splitter's count/split step: mutates `hash` and queues new cells.
+  void ProcessSplitter(OrderedPartition& p, uint32_t w_start, uint64_t& hash);
+
+  /// Splits the affected cell at `c_start` by the counts of its touched
+  /// members `tail` (in any order), unless the counts are uniform over the
+  /// whole cell.
+  void SplitAffected(OrderedPartition& p, uint32_t w_start, uint32_t c_start,
+                     std::span<VertexId> tail, uint64_t& hash);
 
   NeighborSource* source_;  // The counting seam; never null.
   std::unique_ptr<NeighborSource> owned_source_;  // Set by the Graph ctors.
-  const ExecutionContext* context_;  // May be null (sequential).
+  const ExecutionContext* context_;  // May be null (no stats).
+  // Work counters of the running DoRefine, added to the context's stats
+  // at its end.
+  uint64_t cells_split_ = 0;
+  uint64_t touched_vertices_ = 0;
+  uint64_t elements_scanned_ = 0;
   std::vector<uint32_t> count_;      // Scratch: neighbour counts.
   std::vector<VertexId> touched_;    // Scratch: vertices with count > 0.
+  // Per cell start: 1 while the cell is queued. All zero between refines.
+  std::vector<uint8_t> in_queue_;
+  // Per cell start: touched members, then a cursor into grouped_. All zero
+  // between splitters.
+  std::vector<uint32_t> cell_touched_;
   // Scratch buffers reused across DoRefine calls (allocation-free refines).
   std::vector<uint32_t> worklist_;
-  std::vector<VertexId> splitter_;
   std::vector<uint32_t> affected_;
-  std::vector<std::pair<uint32_t, VertexId>> keyed_;
-  std::vector<VertexId> reordered_;
+  std::vector<VertexId> grouped_;     // touched_, grouped by affected cell.
+  std::vector<uint64_t> keys_;        // (count << 32 | vertex) of one tail.
   std::vector<uint32_t> group_sizes_;
-  std::vector<ShardScratch> shards_;  // Sized to the context's thread count.
-  // Per-worker touched lists for the sharded counting pass (worker w writes
-  // only touched_shards_[w]; the sequential fallback uses slot 0).
-  std::vector<std::vector<VertexId>> touched_shards_;
 };
 
 /// The stable (coarsest equitable) partition refining options.colors — the

@@ -2,7 +2,7 @@
 // deterministic ParallelFor, and the ExecutionContext handed through the
 // refinement / orbit / anonymization entry points.
 //
-// Design rules, relied on by the parallel refiner (aut/refinement.cc):
+// Design rules, relied on by the parallel evaluation kernels (DESIGN.md §8):
 //   * ParallelFor uses *static* chunking — shard s always receives the same
 //     contiguous index range for a given (n, num_threads) — so any
 //     shard-indexed output buffer is filled deterministically.
@@ -73,8 +73,16 @@ void ParallelFor(ThreadPool* pool, size_t n,
 struct RefinementStats {
   uint64_t refine_calls = 0;         // DoRefine invocations.
   uint64_t splitters_processed = 0;  // Worklist entries consumed.
-  uint64_t cells_split = 0;          // SplitCell operations applied.
-  uint64_t parallel_splitters = 0;   // Splitters that took the sharded path.
+  uint64_t cells_split = 0;          // Cells the refiner carved.
+  // Vertices with a nonzero neighbour count, summed over splitters.
+  uint64_t touched_vertices = 0;
+  // Cell elements the splits keyed, sorted or moved: each touched member
+  // of a non-singleton cell once, plus each element a carve displaced.
+  // Never more than 2 * touched_vertices.
+  uint64_t elements_scanned = 0;
+  // Always 0: refinement has one sequential path. Kept for readers of the
+  // field (the benchmark's aut.parallel_splitters).
+  uint64_t parallel_splitters = 0;
   double refine_seconds = 0.0;       // Wall time inside refinement.
   double partition_seconds = 0.0;    // Initial partition (Orb(G) or TDV(G)).
   double copy_seconds = 0.0;         // Orbit-copy phase of Algorithm 1.
@@ -83,8 +91,8 @@ struct RefinementStats {
 
 /// Execution policy threaded through Refiner, EquitablePartition, orbit
 /// computation, AnonymizationOptions and backbone detection: how many
-/// threads to use, when to fall back to the sequential path, and a stats
-/// sink for per-phase timers.
+/// threads to use and a stats sink for per-phase timers. Refinement itself
+/// is sequential and only reports into the sink.
 ///
 /// threads == 1 (the default) is the sequential policy: no pool is ever
 /// created and every consumer behaves exactly as before this API existed.
@@ -106,15 +114,6 @@ class ExecutionContext {
 
   RefinementStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = RefinementStats{}; }
-
-  /// Sequential-fallback grains: a refine splitter shards its neighbour
-  /// counting only when the splitter has at least `splitter_grain` members,
-  /// and shards the affected-cell scan only when at least `affected_grain`
-  /// cells were touched. Below the grain the sequential path is cheaper
-  /// than a pool dispatch. Tests set these to 0 to force sharding on small
-  /// graphs; results are bit-identical either way.
-  size_t splitter_grain = 4096;
-  size_t affected_grain = 256;
 
  private:
   uint32_t threads_ = 1;

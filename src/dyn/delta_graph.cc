@@ -1,7 +1,6 @@
 #include "dyn/delta_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <utility>
 
@@ -219,25 +218,6 @@ void DeltaNeighborSource::CountSplitter(std::span<const VertexId> splitter,
       if (count[v]++ == 0) touched.push_back(v);
     });
   }
-}
-
-void DeltaNeighborSource::CountSplitterParallel(
-    ThreadPool* pool, std::span<const VertexId> splitter,
-    std::span<uint32_t> count, std::span<std::vector<VertexId>> touched) {
-  ParallelFor(pool, splitter.size(),
-              [this, splitter, count, touched](size_t begin, size_t end,
-                                               uint32_t shard) {
-                std::vector<VertexId>& mine = touched[shard];
-                for (size_t i = begin; i < end; ++i) {
-                  graph_.ForEachNeighbor(
-                      splitter[i], [count, &mine](VertexId v) {
-                        std::atomic_ref<uint32_t> c(count[v]);
-                        if (c.fetch_add(1, std::memory_order_relaxed) == 0) {
-                          mine.push_back(v);
-                        }
-                      });
-                }
-              });
 }
 
 }  // namespace dyn

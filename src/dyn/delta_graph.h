@@ -193,11 +193,6 @@ class DeltaNeighborSource final : public NeighborSource {
                      std::span<uint32_t> count,
                      std::vector<VertexId>& touched) override;
 
-  void CountSplitterParallel(ThreadPool* pool,
-                             std::span<const VertexId> splitter,
-                             std::span<uint32_t> count,
-                             std::span<std::vector<VertexId>> touched) override;
-
  private:
   const DeltaGraph& graph_;
 };

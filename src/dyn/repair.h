@@ -8,11 +8,14 @@
 //     one pool cell; every untouched parent cell survives as its own cell.
 //  2. *Seeded refine*: run the worklist refiner (Refiner::RefineSeeded)
 //     with the worklist seeded by the pool plus every cell adjacent to the
-//     pool in G_new. The fixpoint P* is equitable: any never-scheduled,
-//     never-split cell X is an untouched parent cell with no pool
-//     neighbours, so counts into X are unchanged from G_old for non-pool
-//     vertices (their adjacency didn't change and TDV(G_old) was stable)
-//     and zero for pool vertices — uniform either way.
+//     pool in G_new. Every cell X of the dissolved partition P0 that is
+//     not seeded is an untouched parent cell with no pool neighbours, so
+//     counts into X are unchanged from G_old for non-pool vertices (their
+//     adjacency didn't change and TDV(G_old) was stable) and zero for pool
+//     vertices — uniform either way. So P0 is stable with respect to every
+//     non-seeded cell: the refiner's loop invariant holds from the start,
+//     which is what makes its skip-the-largest-part rule sound here, and
+//     the fixpoint P* is equitable.
 //  3. *Quotient coarsening*: P* is equitable, hence refines the coarsest
 //     equitable partition TDV(G_new) — but possibly strictly (an edit can
 //     *coarsen* TDV globally: add one edge to a path and a triangle's

@@ -86,11 +86,14 @@ void AppendPhaseStats(const RefinementStats& refinement, uint32_t threads,
                       std::string& log) {
   log += StrFormat(
       "phases (threads=%u): partition %.1f ms (refine %.1f ms, "
-      "%llu refine calls, %llu cells split), copy %.1f ms\n",
+      "%llu refine calls, %llu cells split, %llu touched vertices, "
+      "%llu elements scanned), copy %.1f ms\n",
       threads, refinement.partition_seconds * 1e3,
       refinement.refine_seconds * 1e3,
       static_cast<unsigned long long>(refinement.refine_calls),
       static_cast<unsigned long long>(refinement.cells_split),
+      static_cast<unsigned long long>(refinement.touched_vertices),
+      static_cast<unsigned long long>(refinement.elements_scanned),
       refinement.copy_seconds * 1e3);
 }
 

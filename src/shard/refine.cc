@@ -1,7 +1,5 @@
 #include "shard/refine.h"
 
-#include <atomic>
-
 #include "common/check.h"
 
 namespace ksym {
@@ -27,35 +25,6 @@ void ShardedNeighborSource::CountSplitter(std::span<const VertexId> splitter,
         if (count[v]++ == 0) touched.push_back(v);
       }
     }
-  }
-}
-
-void ShardedNeighborSource::CountSplitterParallel(
-    ThreadPool* pool, std::span<const VertexId> splitter,
-    std::span<uint32_t> count, std::span<std::vector<VertexId>> touched) {
-  GroupByShard(splitter);
-  // One ParallelFor per storage shard: the orchestrating thread pins the
-  // shard, workers only read through the view. Counts accumulate across
-  // groups, so "first increment overall" still fires exactly once per
-  // vertex — the touched lists stay duplicate-free across group barriers.
-  for (uint32_t s = 0; s < groups_.size(); ++s) {
-    const std::vector<VertexId>& group = groups_[s];
-    if (group.empty()) continue;
-    const Result<ShardView> view = graph_.Shard(s);
-    KSYM_CHECK(view.ok());
-    ParallelFor(pool, group.size(),
-                [&group, &view, count, touched](size_t begin, size_t end,
-                                                uint32_t shard) {
-                  std::vector<VertexId>& mine = touched[shard];
-                  for (size_t i = begin; i < end; ++i) {
-                    for (VertexId v : view->Neighbors(group[i])) {
-                      std::atomic_ref<uint32_t> c(count[v]);
-                      if (c.fetch_add(1, std::memory_order_relaxed) == 0) {
-                        mine.push_back(v);
-                      }
-                    }
-                  }
-                });
   }
 }
 

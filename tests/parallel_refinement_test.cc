@@ -1,7 +1,8 @@
 // Tests for the ExecutionContext execution policy: the thread pool and
-// deterministic ParallelFor, and — the load-bearing property — that sharded
-// refinement is bit-identical to the sequential path (same cells, same
-// trace hash) and deterministic across repeated runs.
+// deterministic ParallelFor, and — the load-bearing property — that
+// refinement under a multi-thread context is bit-identical to the
+// sequential run (same cells, same trace hash) and deterministic across
+// repeated runs.
 
 #include "common/parallel.h"
 
@@ -19,16 +20,6 @@
 
 namespace ksym {
 namespace {
-
-// A context that shards every splitter regardless of size, so small test
-// graphs exercise the parallel path (grains default high enough that they
-// would otherwise stay sequential).
-ExecutionContext ForcedParallelContext(uint32_t threads) {
-  ExecutionContext context(threads);
-  context.splitter_grain = 0;
-  context.affected_grain = 0;
-  return context;
-}
 
 TEST(ThreadPoolTest, RunInvokesEveryWorkerOnce) {
   ThreadPool pool(4);
@@ -57,8 +48,8 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
 }
 
 TEST(ParallelForTest, ChunkingIsStatic) {
-  // Shard s must always receive the same contiguous chunk: the refiner's
-  // merge step depends on shard-indexed outputs being ascending.
+  // Shard s must always receive the same contiguous chunk: the parallel
+  // kernels depend on shard-indexed outputs being ascending.
   ThreadPool pool(3);
   std::vector<uint32_t> shard_of(10, ~0u);
   ParallelFor(&pool, shard_of.size(),
@@ -93,7 +84,7 @@ TEST(ExecutionContextTest, SequentialContextHasNoPool) {
   EXPECT_EQ(parallel.pool(), parallel.pool());  // Built once, reused.
 }
 
-// The tentpole equivalence: parallel refinement at 2/4/8 threads produces
+// The equivalence: refinement under 2/4/8-thread contexts produces
 // the identical cell array *and* the identical trace hash as the
 // sequential refiner, on random ER and BA graphs.
 TEST(ParallelRefinementTest, RandomizedEquivalenceWithSequential) {
@@ -110,7 +101,7 @@ TEST(ParallelRefinementTest, RandomizedEquivalenceWithSequential) {
     const auto sequential_cells = sequential.Cells();
 
     for (uint32_t threads : {2u, 4u, 8u}) {
-      ExecutionContext context = ForcedParallelContext(threads);
+      ExecutionContext context(threads);
       OrderedPartition parallel(graph.NumVertices(), {});
       Refiner parallel_refiner(graph, &context);
       const uint64_t parallel_hash = parallel_refiner.RefineAll(parallel);
@@ -120,8 +111,6 @@ TEST(ParallelRefinementTest, RandomizedEquivalenceWithSequential) {
       EXPECT_EQ(parallel.Cells(), sequential_cells)
           << "cells diverged at " << threads << " threads on n="
           << graph.NumVertices();
-      // The sharded path must actually have been exercised.
-      EXPECT_GT(context.stats().parallel_splitters, 0u);
       EXPECT_GT(context.stats().refine_calls, 0u);
     }
   }
@@ -136,7 +125,7 @@ TEST(ParallelRefinementTest, EquivalenceWithInitialColors) {
   }
   const auto sequential =
       EquitablePartition(graph, RefinementOptions{.colors = colors});
-  ExecutionContext context = ForcedParallelContext(4);
+  ExecutionContext context(4);
   const auto parallel = EquitablePartition(
       graph, RefinementOptions{.colors = colors, .context = &context});
   EXPECT_EQ(parallel, sequential);
@@ -144,7 +133,7 @@ TEST(ParallelRefinementTest, EquivalenceWithInitialColors) {
 
 TEST(ParallelRefinementTest, RefineFromEquivalence) {
   // Individualize + RefineFrom, the automorphism search's inner step, must
-  // also be bit-identical under the sharded refiner.
+  // also be bit-identical under a multi-thread context.
   Rng rng(7);
   const Graph graph = ErdosRenyiGnm(400, 800, rng);
 
@@ -152,7 +141,7 @@ TEST(ParallelRefinementTest, RefineFromEquivalence) {
   Refiner sequential_refiner(graph);
   sequential_refiner.RefineAll(sequential);
 
-  ExecutionContext context = ForcedParallelContext(4);
+  ExecutionContext context(4);
   OrderedPartition parallel(graph.NumVertices(), {});
   Refiner parallel_refiner(graph, &context);
   parallel_refiner.RefineAll(parallel);
@@ -172,7 +161,7 @@ TEST(ParallelRefinementTest, RefineFromEquivalence) {
 TEST(ParallelRefinementTest, RepeatedParallelRefineIsDeterministic) {
   Rng rng(55);
   const Graph graph = BarabasiAlbert(800, 3, rng);
-  ExecutionContext context = ForcedParallelContext(8);
+  ExecutionContext context(8);
   Refiner refiner(graph, &context);
 
   OrderedPartition first(graph.NumVertices(), {});
@@ -188,7 +177,7 @@ TEST(ParallelRefinementTest, OrbitAndAnonymizePipelinesMatchSequential) {
   Rng rng(21);
   const Graph graph = ErdosRenyiGnm(200, 380, rng);
 
-  ExecutionContext context = ForcedParallelContext(4);
+  ExecutionContext context(4);
   EXPECT_TRUE(ComputeTotalDegreePartition(graph, &context) ==
               ComputeTotalDegreePartition(graph, nullptr));
   EXPECT_TRUE(ComputeAutomorphismPartition(graph, {}, &context) ==

@@ -5,11 +5,80 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 
 #include "graph/generators.h"
 
 namespace ksym {
 namespace {
+
+using CellSets = std::vector<std::vector<VertexId>>;
+
+// Cells as a set of vertex sets: each cell sorted, then the cells sorted.
+CellSets AsSets(CellSets cells) {
+  for (auto& cell : cells) std::sort(cell.begin(), cell.end());
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
+// Reference colour refinement, written for obviousness rather than speed:
+// recolour every vertex by (its colour, the sorted multiset of its
+// neighbours' colours) until the number of colours stops growing. Returns
+// the coarsest equitable partition refining `colors` (unit if empty).
+CellSets NaiveEquitableCells(const Graph& graph,
+                             std::vector<uint32_t> colors) {
+  const size_t n = graph.NumVertices();
+  if (colors.empty()) colors.assign(n, 0);
+  size_t num_colors = 0;
+  while (true) {
+    std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint32_t> ids;
+    std::vector<std::pair<uint32_t, std::vector<uint32_t>>> signature(n);
+    for (VertexId v = 0; v < n; ++v) {
+      signature[v].first = colors[v];
+      for (VertexId u : graph.Neighbors(v)) {
+        signature[v].second.push_back(colors[u]);
+      }
+      std::sort(signature[v].second.begin(), signature[v].second.end());
+      ids.emplace(signature[v], 0);
+    }
+    uint32_t next_id = 0;
+    for (auto& [sig, id] : ids) id = next_id++;
+    for (VertexId v = 0; v < n; ++v) colors[v] = ids[signature[v]];
+    // The signature includes the old colour, so colours only split.
+    if (ids.size() == num_colors) break;
+    num_colors = ids.size();
+  }
+  CellSets cells(num_colors);
+  for (VertexId v = 0; v < n; ++v) cells[colors[v]].push_back(v);
+  return AsSets(std::move(cells));
+}
+
+// A social-network-shaped configuration model: power-law degrees (minimum
+// 1, exponent 2.2), capped below n.
+Graph SocialGraph(size_t n, size_t max_degree, Rng& rng) {
+  std::vector<size_t> degrees(n);
+  size_t stubs = 0;
+  for (size_t& d : degrees) {
+    const double u = 1.0 - rng.NextDouble();  // In (0, 1].
+    d = std::min(max_degree, static_cast<size_t>(std::pow(u, -1.0 / 1.2)));
+    stubs += d;
+  }
+  if (stubs % 2 != 0) ++degrees[0];
+  return ConfigurationModel(degrees, rng).value();
+}
+
+// Random ER, BA and configuration-model graphs of a few hundred vertices.
+std::vector<Graph> ReferenceGraphs() {
+  Rng rng(4242);
+  std::vector<Graph> graphs;
+  for (int trial = 0; trial < 3; ++trial) {
+    graphs.push_back(ErdosRenyiGnm(150 + 50 * trial, 200 + 80 * trial, rng));
+    graphs.push_back(BarabasiAlbert(200 + 50 * trial, 1 + trial, rng));
+    graphs.push_back(SocialGraph(300 + 100 * trial, 40, rng));
+  }
+  return graphs;
+}
 
 // Checks the equitability property: for any two cells C, W, every vertex of
 // C has the same number of neighbours in W.
@@ -186,6 +255,148 @@ TEST(RefinementTest, EquitablePartitionCellsCoverAllVertices) {
     }
   }
   EXPECT_EQ(total, g.NumVertices());
+}
+
+TEST(ReferenceRefinementTest, EquitablePartitionMatchesNaiveRefiner) {
+  Rng rng(17);
+  for (const Graph& graph : ReferenceGraphs()) {
+    SCOPED_TRACE(testing::Message() << "n=" << graph.NumVertices()
+                                    << " m=" << graph.NumEdges());
+    EXPECT_EQ(AsSets(EquitablePartition(graph, {})),
+              NaiveEquitableCells(graph, {}));
+    std::vector<uint32_t> colors(graph.NumVertices());
+    for (uint32_t& c : colors) c = static_cast<uint32_t>(rng.NextBounded(3));
+    EXPECT_EQ(AsSets(EquitablePartition(graph,
+                                        RefinementOptions{.colors = colors})),
+              NaiveEquitableCells(graph, colors));
+  }
+}
+
+TEST(ReferenceRefinementTest, RefineFromMatchesNaiveRefiner) {
+  Rng rng(19);
+  for (const Graph& graph : ReferenceGraphs()) {
+    SCOPED_TRACE(testing::Message() << "n=" << graph.NumVertices());
+    const size_t n = graph.NumVertices();
+    OrderedPartition p(n, {});
+    Refiner refiner(graph);
+    refiner.RefineAll(p);
+    // Individualize twice, as two levels of the search do, and check each
+    // level against the naive refinement of the same colouring.
+    for (int depth = 0; depth < 2 && p.TargetCell() != p.kNoCell; ++depth) {
+      const auto target = p.CellAt(p.TargetCell());
+      const VertexId v = target[rng.NextBounded(target.size())];
+      std::vector<uint32_t> colors(n);
+      const CellSets before = p.Cells();
+      for (uint32_t c = 0; c < before.size(); ++c) {
+        for (VertexId u : before[c]) colors[u] = c;
+      }
+      colors[v] = static_cast<uint32_t>(before.size());
+      refiner.RefineFrom(p, p.Individualize(v));
+      EXPECT_EQ(AsSets(p.Cells()), NaiveEquitableCells(graph, colors));
+    }
+  }
+}
+
+TEST(ReferenceRefinementTest, RefineSeededWithRepairSeedsMatchesNaiveRefiner) {
+  // The dissolve-and-seed step of dyn/repair.cc: TDV of the old graph, the
+  // cells holding an edited endpoint merged into one pool, and the worklist
+  // seeded with the pool plus every cell adjacent to it in the new graph.
+  Rng rng(23);
+  for (const Graph& graph : ReferenceGraphs()) {
+    SCOPED_TRACE(testing::Message() << "n=" << graph.NumVertices());
+    const size_t n = graph.NumVertices();
+    // The old graph lacks a few of the new graph's edges.
+    GraphBuilder old_builder(n);
+    std::vector<VertexId> touched;
+    graph.ForEachEdge([&](VertexId u, VertexId v) {
+      if (touched.size() < 8 && rng.NextBernoulli(0.05)) {
+        touched.push_back(u);
+        touched.push_back(v);
+      } else {
+        old_builder.AddEdge(u, v);
+      }
+    });
+    const CellSets parent = EquitablePartition(old_builder.Build(), {});
+
+    std::vector<uint32_t> colors(n);
+    std::vector<bool> dissolved(parent.size(), false);
+    for (uint32_t c = 0; c < parent.size(); ++c) {
+      for (VertexId v : parent[c]) {
+        colors[v] = c + 1;
+        dissolved[c] = dissolved[c] || std::find(touched.begin(), touched.end(),
+                                                 v) != touched.end();
+      }
+    }
+    std::vector<VertexId> pool;
+    for (uint32_t c = 0; c < parent.size(); ++c) {
+      if (!dissolved[c]) continue;
+      for (VertexId v : parent[c]) {
+        colors[v] = 0;
+        pool.push_back(v);
+      }
+    }
+    ASSERT_FALSE(pool.empty());
+
+    OrderedPartition p(n, colors);
+    std::vector<uint32_t> seeds = {p.CellStartOf(pool.front())};
+    for (VertexId v : pool) {
+      for (VertexId u : graph.Neighbors(v)) seeds.push_back(p.CellStartOf(u));
+    }
+    std::sort(seeds.begin(), seeds.end());
+    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    Refiner(graph).RefineSeeded(p, seeds);
+    EXPECT_EQ(AsSets(p.Cells()), NaiveEquitableCells(graph, colors));
+  }
+}
+
+// The work bound of the Hopcroft schedule, independent of the machine: a
+// split keys and moves only touched vertices, so the cell elements scanned
+// never exceed twice the touched count.
+TEST(RefinementWorkTest, ElementsScannedWithinTwiceTouched) {
+  Rng rng(2010);
+  const Graph graphs[] = {BarabasiAlbert(20000, 4, rng),
+                          SocialGraph(20000, 500, rng)};
+  for (const Graph& graph : graphs) {
+    ExecutionContext context;
+    OrderedPartition p(graph.NumVertices(), {});
+    Refiner(graph, &context).RefineAll(p);
+    const RefinementStats& stats = context.stats();
+    EXPECT_GT(stats.touched_vertices, 0u);
+    EXPECT_GT(stats.cells_split, 0u);
+    EXPECT_LE(stats.elements_scanned, 2 * stats.touched_vertices)
+        << "n=" << graph.NumVertices();
+    EXPECT_EQ(stats.parallel_splitters, 0u);
+  }
+}
+
+TEST(OrderedPartitionTest, CarveKeepsUntouchedRemainderFirst) {
+  OrderedPartition p(6, {});
+  const VertexId tail[] = {4, 1, 5};
+  const uint32_t groups[] = {1, 2};
+  p.Carve(0, tail, groups);
+  EXPECT_EQ(p.NumCells(), 3u);
+  EXPECT_EQ(AsSets(p.Cells()), (CellSets{{0, 2, 3}, {1, 5}, {4}}));
+  EXPECT_EQ(p.CellSizeAt(0), 3u);  // The remainder keeps the cell start.
+  EXPECT_EQ(p.CellStartOf(4), 3u);
+  EXPECT_EQ(p.CellStartOf(1), 4u);
+  EXPECT_EQ(p.CellStartOf(5), 4u);
+}
+
+TEST(OrderedPartitionTest, RevertUndoesNestedCarves) {
+  OrderedPartition p(8, {});
+  const size_t mark = p.JournalMark();
+  const VertexId all[] = {7, 6, 5, 4, 3, 2, 1, 0};
+  const uint32_t halves[] = {4, 4};
+  p.Carve(0, all, halves);
+  const VertexId inner[] = {6};
+  const uint32_t one[] = {1};
+  p.Carve(p.CellStartOf(6), inner, one);
+  p.Individualize(0);
+  EXPECT_EQ(p.NumCells(), 4u);
+  p.RevertTo(mark);
+  EXPECT_EQ(p.NumCells(), 1u);
+  for (VertexId v = 0; v < 8; ++v) EXPECT_EQ(p.CellStartOf(v), 0u);
+  EXPECT_EQ(p.CellSizeAt(0), 8u);
 }
 
 }  // namespace

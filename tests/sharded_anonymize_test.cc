@@ -35,13 +35,6 @@ std::vector<char> ReadFileBytes(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
-ExecutionContext ForcedParallelContext(uint32_t threads) {
-  ExecutionContext context(threads);
-  context.splitter_grain = 0;
-  context.affected_grain = 0;
-  return context;
-}
-
 /// In-memory reference: Anonymize (TDV path, same as the sharded pipeline)
 /// and the binary release bytes it would publish.
 struct Reference {
@@ -119,7 +112,7 @@ TEST(ShardedAnonymizeTest, ByteIdenticalAcrossShardsThreadsAndBudgets) {
       for (size_t budget : {size_t{256} << 20, size_t{1}}) {
         SCOPED_TRACE(testing::Message() << "shards=" << shards << " threads="
                                         << threads << " budget=" << budget);
-        const ExecutionContext context = ForcedParallelContext(threads);
+        const ExecutionContext context(threads);
         ShardedAnonymizationOptions options;
         options.k = 3;
         options.context = &context;

@@ -26,13 +26,6 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-ExecutionContext ForcedParallelContext(uint32_t threads) {
-  ExecutionContext context(threads);
-  context.splitter_grain = 0;
-  context.affected_grain = 0;
-  return context;
-}
-
 /// ER core with degree skew plus a cycle tail: several refinement rounds,
 /// non-trivial cells, and shard boundaries that cut through hubs.
 Graph MakeRefinementGraph() {
@@ -73,7 +66,7 @@ TEST(ShardedRefinementTest, MatchesInMemoryAcrossShardsThreadsAndBudgets) {
         auto sharded = ShardedGraph::Open(manifest, options);
         ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-        const ExecutionContext context = ForcedParallelContext(threads);
+        const ExecutionContext context(threads);
         uint64_t trace = 0;
         const auto cells = ShardedEquitablePartition(
             *sharded,

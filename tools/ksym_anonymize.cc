@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
               "use the TDV partition instead of exact orbits (Section 7)");
   parser.Flag("--binary", &request.binary,
               "write the release in binary CSR form");
-  parser.U32("--threads", &request.threads, "refinement worker threads");
+  parser.U32("--threads", &request.threads,
+             "worker threads (output is identical at any count)");
   parser.Size("--resident-bytes", &request.resident_bytes,
               "sharded input: residency cap in bytes");
   parser.U32("--output-shards", &request.output_shards,

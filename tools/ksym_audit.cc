@@ -7,8 +7,8 @@
 //
 //   ksym_audit --input graph.edges [--k 5] [--tdv] [--threads N]
 //
-// --threads shards the partition computation's refinement (bit-identical
-// to the sequential run). The tool is a thin adapter over serve/api.h: the
+// --threads sizes the worker pool; the report is bit-identical at any
+// count. The tool is a thin adapter over serve/api.h: the
 // report on stdout is byte-identical to the ksym_serve daemon's response
 // for the same AuditRequest (the CI smoke test diffs the two).
 
@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   parser.U32("--k", &request.k, "symmetry requirement to audit against");
   parser.Flag("--tdv", &request.tdv,
               "use the TDV partition instead of exact orbits (Section 7)");
-  parser.U32("--threads", &request.threads, "refinement worker threads");
+  parser.U32("--threads", &request.threads,
+             "worker threads (output is identical at any count)");
   parser.ParseOrExit(argc, argv);
   if (request.input.empty()) parser.FailUsage();
 

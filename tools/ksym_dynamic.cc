@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
                 "releases are written to <prefix>.epochN[.ksymcsr]");
   parser.U32("--k", &k, "anonymity requirement per epoch (default 2)");
   parser.Flag("--binary", &binary, "write binary .ksymcsr releases");
-  parser.U32("--threads", &threads, "refinement thread count (default 1)");
+  parser.U32("--threads", &threads,
+             "worker threads (default 1; output is identical at any count)");
   parser.F64("--compact-ratio", &compact_ratio,
              "overlay/base-arc ratio past which a commit compacts "
              "(default 0.25)");
