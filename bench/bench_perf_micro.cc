@@ -22,9 +22,9 @@
 // .ksymcsr read vs mmap zero-copy load (validated and trusted variants) —
 // the startup cost a publisher pays per anonymization run.
 //
-// The PR 5 residency sweeps (BM_Sharded*Residency) run the shard-streaming
-// kernels over an 8-shard split of the 200k graph at LRU budgets of
-// 1/2/4/8 resident shards, against in-memory baselines — the
+// The out-of-core sweep (BM_ShardedAnonymize) runs the manifest-in
+// anonymizer over an 8-shard split of the 200k graph at LRU budgets of
+// 1/2/4 resident shards, against the in-memory pipeline — the
 // cap-vs-throughput trade the sharded subsystem exists to expose.
 //
 // The PR 8 SIMD family (BM_Simd*, registered per supported level in main)
@@ -68,7 +68,6 @@
 #include "ksym/release_io.h"
 #include "ksym/sampling.h"
 #include "ksym/sharded_anonymizer.h"
-#include "shard/kernels.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_graph.h"
 #include "simd/bfs.h"
@@ -537,13 +536,10 @@ void BM_ExactSampleHepth(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactSampleHepth);
 
-// --- PR 5 sharded residency sweeps: resident-cap vs throughput for the
-// shard-streaming kernels on the 200k-vertex graph cut into 8 vertex-range
+// --- Shard-set fixture: the 200k-vertex graph cut into 8 vertex-range
 // shards. Arg = how many of the largest shards the LRU budget can hold at
-// once; Arg(8) keeps the whole set resident (pure streaming overhead vs
-// the in-memory kernel), Arg(1) evicts on nearly every cross-shard access
-// (the out-of-core worst case). Every row computes bit-identical results —
-// only loads/evictions move.
+// once; Arg(1) evicts on nearly every cross-shard access (the out-of-core
+// worst case).
 
 struct ShardSet {
   std::string manifest_path;
@@ -600,70 +596,6 @@ void AttachResidencyCounters(benchmark::State& state,
       static_cast<double>(stats.peak_resident_bytes));
   state.counters["peak_rss_mb"] = benchmark::Counter(PeakRssMegabytes());
 }
-
-void BM_ShardedDegreeResidency(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardedDegreeValues(sharded));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(sharded.NumVertices()));
-  AttachResidencyCounters(state, sharded);
-}
-BENCHMARK(BM_ShardedDegreeResidency)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedClusteringResidency(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardedClusteringValues(sharded));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(sharded.NumVertices()));
-  AttachResidencyCounters(state, sharded);
-}
-BENCHMARK(BM_ShardedClusteringResidency)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedPathLengthsResidency(benchmark::State& state) {
-  ShardedGraph sharded = OpenBenchShards(state.range(0));
-  for (auto _ : state) {
-    Rng rng(13);  // Fresh stream per iteration: identical work each pass.
-    benchmark::DoNotOptimize(ShardedSampledPathLengths(sharded, 200, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * 200);
-  AttachResidencyCounters(state, sharded);
-}
-BENCHMARK(BM_ShardedPathLengthsResidency)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-/// The whole-graph baselines the residency sweeps compare against, on the
-/// same graph with the same kernels' in-memory counterparts.
-void BM_ShardedDegreeInMemoryBaseline(benchmark::State& state) {
-  const Graph& graph = BigRefineGraph();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DegreeValues(graph));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(graph.NumVertices()));
-  AttachMemoryCounters(state, graph);
-}
-BENCHMARK(BM_ShardedDegreeInMemoryBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedPathLengthsInMemoryBaseline(benchmark::State& state) {
-  const Graph& graph = BigRefineGraph();
-  for (auto _ : state) {
-    Rng rng(13);
-    benchmark::DoNotOptimize(SampledPathLengths(graph, 200, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * 200);
-  AttachMemoryCounters(state, graph);
-}
-BENCHMARK(BM_ShardedPathLengthsInMemoryBaseline)
-    ->Unit(benchmark::kMillisecond);
 
 // --- PR 6 out-of-core anonymization sweep: the full manifest-in →
 // anonymized-shard-set-out pipeline (streaming degrees, sharded TDV

@@ -147,25 +147,19 @@ Graph BoostClustering(const Graph& graph, size_t attempts, Rng& rng) {
 // (duplicate leaves on a shared neighbour); configuration-model graphs are
 // almost surely rigid without it.
 Graph PairPendants(const Graph& graph, size_t pairs, Rng& rng) {
-  MutableGraph work(graph);
   std::vector<std::pair<VertexId, VertexId>> edges = graph.Edges();
   // Collect pendants with their unique neighbour.
   std::vector<VertexId> pendants;
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    if (work.Degree(v) == 1) pendants.push_back(v);
+    if (graph.Degree(v) == 1) pendants.push_back(v);
   }
   rng.Shuffle(pendants.begin(), pendants.end());
 
-  // MutableGraph cannot delete edges, so rebuild through an edge set.
+  // The rewire deletes edges, so work on an edge set. Every rewire
+  // preserves all degrees, so graph.Degree stays valid throughout.
   std::set<std::pair<VertexId, VertexId>> edge_set(edges.begin(), edges.end());
   auto norm = [](VertexId a, VertexId b) {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  };
-  auto degree_of = [&edge_set, &graph](VertexId v) {
-    // Degrees only change transiently inside a successful rewire, which
-    // restores them; original degrees remain valid.
-    (void)edge_set;
-    return graph.Degree(v);
   };
 
   size_t done = 0;
@@ -183,7 +177,7 @@ Graph PairPendants(const Graph& graph, size_t pairs, Rng& rng) {
     }
     if (a == kInvalidVertex || b == kInvalidVertex || a == b) continue;
     if (a == v || b == u) continue;
-    if (degree_of(a) < 2) continue;
+    if (graph.Degree(a) < 2) continue;
     // Find an edge a-x with x usable as b's replacement neighbour.
     VertexId x = kInvalidVertex;
     for (const auto& [p, q] : edge_set) {

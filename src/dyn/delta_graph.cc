@@ -174,7 +174,7 @@ Graph DeltaGraph::Compact() const {
 
 void DeltaGraph::CompactInPlace() {
   if (!HasOverlay()) {
-    // Still re-own a borrowed base so the caller can drop the mapping.
+    // Nothing to merge; just free the (all-empty) per-vertex overlay rows.
     if (added_.empty()) return;
     added_.clear();
     removed_.clear();

@@ -113,9 +113,10 @@ Result<ReanonymizeOutcome> DynamicSession::Reanonymize(
   plan_anchor_checksum_ = outcome.graph_checksum;
   touched_since_plan_.clear();
 
-  // Orbit copy on the resident merged graph. The overlay view cannot feed
-  // Algorithm 1 (it mutates a MutableGraph), so compact if needed — the
-  // checksum, and therefore the cache key, is unchanged by compaction.
+  // Orbit copy on the resident merged graph. Algorithm 1 reads each base
+  // row as one contiguous span, which the overlay view does not have, so
+  // compact if needed — the checksum, and therefore the cache key, is
+  // unchanged by compaction.
   Graph compacted;
   const Graph* resident = &graph_.base();
   if (graph_.HasOverlay()) {

@@ -38,9 +38,11 @@
 // the lifetime contract.
 //
 // `GraphBuilder` assembles a Graph from arbitrary edge insertions
-// (deduplicating and dropping self-loops), and `MutableGraph` supports the
-// incremental vertex/edge insertion that the anonymization procedure
-// performs before freezing the result back into a Graph.
+// (deduplicating and dropping self-loops), and `MutableGraph` supports
+// incremental vertex/edge insertion (the k-degree baseline's edge
+// additions) before freezing the result back into a Graph. The k-symmetry
+// anonymizer does not use it: orbit copying keeps the input graph as is
+// and records only what it adds (ksym/orbit_copy.h).
 
 #ifndef KSYM_GRAPH_GRAPH_H_
 #define KSYM_GRAPH_GRAPH_H_
@@ -222,13 +224,10 @@ class GraphBuilder {
   std::vector<std::pair<VertexId, VertexId>> edges_;
 };
 
-/// A graph under modification. The k-symmetry anonymizer inserts vertices
-/// and edges (never deletes), matching the paper's restriction to
-/// vertex/edge insertion; `Freeze()` validates and produces the immutable
-/// result.
+/// A graph under modification: vertices and edges are inserted, never
+/// deleted; `Freeze()` validates and produces the immutable result.
 ///
-/// AddEdge requires the edge to be absent (the orbit-copying operation never
-/// produces duplicates); this is checked in debug builds.
+/// AddEdge requires the edge to be absent; this is checked in debug builds.
 class MutableGraph {
  public:
   MutableGraph() = default;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "ksym/orbit_copy.h"
-#include "ksym/partition.h"
-
 namespace ksym {
 
 SymmetryRequirement KSymmetryRequirement(uint32_t k) {
@@ -66,6 +63,15 @@ Result<AnonymizationResult> Anonymize(const Graph& graph,
 Result<AnonymizationResult> AnonymizeWithPartition(
     const Graph& graph, const VertexPartition& initial,
     const AnonymizationOptions& options) {
+  return AnonymizeWithCopyUnits(
+      graph, initial, options,
+      [&initial](uint32_t cell) { return initial.cells[cell]; });
+}
+
+Result<AnonymizationResult> AnonymizeWithCopyUnits(
+    const Graph& graph, const VertexPartition& initial,
+    const AnonymizationOptions& options,
+    const std::function<std::vector<VertexId>(uint32_t cell)>& unit_of) {
   if (!options.requirement && options.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
@@ -81,42 +87,16 @@ Result<AnonymizationResult> AnonymizeWithPartition(
   const ExecutionContext* context =
       options.context != nullptr ? options.context : &local_context;
 
-  MutableGraph mutable_graph(graph);
+  ReleaseDelta delta(graph.NumVertices());
   TrackedPartition partition(initial);
-
   AnonymizationResult result;
+  static_cast<CopyCounts&>(result) = CopyToRequirement(
+      graph, initial, requirement,
+      [&graph](VertexId v) { return graph.Degree(v); }, unit_of, context,
+      delta, partition);
+  result.graph = ReleasedGraph(graph, delta);
+  result.partition = partition.ToVertexPartition();
   result.original_vertices = graph.NumVertices();
-
-  {
-    ScopedPhaseTimer copy_timer(context, &RefinementStats::copy_seconds);
-    const size_t num_cells = initial.cells.size();
-    for (uint32_t cell = 0; cell < num_cells; ++cell) {
-      // Copy the *original* members; the vertices of one orbit all share the
-      // same degree, so any member's degree represents the orbit.
-      const std::vector<VertexId> unit = initial.cells[cell];
-      const size_t degree = graph.Degree(unit.front());
-      const uint32_t required = requirement(unit, degree);
-      if (required <= 1) {
-        ++result.orbits_excluded;
-        continue;
-      }
-      if (partition.Cell(cell).size() >= required) {
-        ++result.orbits_satisfied;
-        continue;
-      }
-      ++result.orbits_copied;
-      while (partition.Cell(cell).size() < required) {
-        const size_t edges_before = mutable_graph.NumEdges();
-        OrbitCopy(mutable_graph, partition, cell, unit);
-        ++result.copy_operations;
-        result.vertices_added += unit.size();
-        result.edges_added += mutable_graph.NumEdges() - edges_before;
-      }
-    }
-
-    result.graph = mutable_graph.Freeze();
-    result.partition = partition.ToVertexPartition();
-  }
   result.refinement = context->stats();
   return result;
 }

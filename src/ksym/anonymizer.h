@@ -20,6 +20,8 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "graph/graph.h"
+#include "ksym/orbit_copy.h"
+#include "ksym/partition.h"
 
 namespace ksym {
 
@@ -62,21 +64,24 @@ struct AnonymizationOptions {
   const ExecutionContext* context = nullptr;
 };
 
-struct AnonymizationResult {
-  /// The anonymized graph G' (a supergraph of G: original ids unchanged).
-  Graph graph;
-  /// The released sub-automorphism partition V' of G'.
-  VertexPartition partition;
-  /// |V(G)| — released alongside G' for the sampling algorithms.
-  size_t original_vertices = 0;
-
-  // Cost accounting (Figures 10 and the complexity discussion of 3.3).
+/// Cost accounting of one Algorithm 1 run (Figure 10 and the complexity
+/// discussion of Section 3.3), shared by every anonymizer's result.
+struct CopyCounts {
   size_t vertices_added = 0;
   size_t edges_added = 0;
   size_t copy_operations = 0;
   size_t orbits_copied = 0;
   size_t orbits_excluded = 0;   // Requirement 1 (hub exclusion).
   size_t orbits_satisfied = 0;  // Already >= requirement, nothing to do.
+};
+
+struct AnonymizationResult : CopyCounts {
+  /// The anonymized graph G' (a supergraph of G: original ids unchanged).
+  Graph graph;
+  /// The released sub-automorphism partition V' of G'.
+  VertexPartition partition;
+  /// |V(G)| — released alongside G' for the sampling algorithms.
+  size_t original_vertices = 0;
 
   /// Refinement-pipeline cost accounting, populated from the execution
   /// context's timers (refine calls, cells split, wall time per phase) so
@@ -89,6 +94,48 @@ struct AnonymizationResult {
   uint64_t refinement_trace = 0;
 };
 
+/// Algorithm 1, the one per-cell walk every anonymizer runs: for each cell
+/// of `initial`, evaluates the requirement on the cell and the degree
+/// `degree_of(v)` of its first member, and applies orbit copying with
+/// `unit_of(cell)` (a sorted, intra-cell closed set of the cell's original
+/// members) until the augmented cell of `partition` reaches it. The graph
+/// grows as `base` + `delta`; `partition` must start as `initial`. The walk
+/// is timed as RefinementStats::copy_seconds on `context` (if non-null).
+template <typename Base, typename DegreeOf, typename UnitOf>
+CopyCounts CopyToRequirement(Base& base, const VertexPartition& initial,
+                             const SymmetryRequirement& requirement,
+                             DegreeOf&& degree_of, UnitOf&& unit_of,
+                             const ExecutionContext* context,
+                             ReleaseDelta& delta,
+                             TrackedPartition& partition) {
+  ScopedPhaseTimer copy_timer(context, &RefinementStats::copy_seconds);
+  CopyCounts counts;
+  for (uint32_t cell = 0; cell < initial.cells.size(); ++cell) {
+    // The vertices of one orbit all share the same degree, so any member's
+    // degree represents the orbit.
+    const std::vector<VertexId>& orbit = initial.cells[cell];
+    const uint32_t required = requirement(orbit, degree_of(orbit.front()));
+    if (required <= 1) {
+      ++counts.orbits_excluded;
+      continue;
+    }
+    if (partition.Cell(cell).size() >= required) {
+      ++counts.orbits_satisfied;
+      continue;
+    }
+    ++counts.orbits_copied;
+    const auto& unit = unit_of(cell);
+    while (partition.Cell(cell).size() < required) {
+      const size_t edges_before = delta.added_edges();
+      OrbitCopy(base, delta, partition, cell, std::span<const VertexId>(unit));
+      ++counts.copy_operations;
+      counts.vertices_added += unit.size();
+      counts.edges_added += delta.added_edges() - edges_before;
+    }
+  }
+  return counts;
+}
+
 /// Anonymizes `graph` to satisfy the requirement (k-symmetry by default).
 /// Computes the initial partition internally.
 Result<AnonymizationResult> Anonymize(const Graph& graph,
@@ -100,6 +147,16 @@ Result<AnonymizationResult> Anonymize(const Graph& graph,
 Result<AnonymizationResult> AnonymizeWithPartition(
     const Graph& graph, const VertexPartition& initial,
     const AnonymizationOptions& options);
+
+/// AnonymizeWithPartition with a caller-chosen copy unit per cell:
+/// `unit_of(cell)` returns the sorted, intra-cell closed subset of the
+/// cell's original members that each orbit copying operation duplicates.
+/// AnonymizeWithPartition copies whole cells; AnonymizeMinimalVertices
+/// (minimal.h) copies one L(V)-copy component.
+Result<AnonymizationResult> AnonymizeWithCopyUnits(
+    const Graph& graph, const VertexPartition& initial,
+    const AnonymizationOptions& options,
+    const std::function<std::vector<VertexId>(uint32_t cell)>& unit_of);
 
 }  // namespace ksym
 

@@ -1,52 +1,20 @@
 #include "ksym/orbit_copy.h"
 
-#include <algorithm>
-
 namespace ksym {
 
-std::vector<VertexId> OrbitCopy(MutableGraph& graph,
-                                TrackedPartition& partition,
-                                uint32_t cell_index,
-                                std::span<const VertexId> unit) {
-  KSYM_CHECK(!unit.empty());
-  KSYM_DCHECK(std::is_sorted(unit.begin(), unit.end()));
-
-  std::vector<VertexId> copies;
-  copies.reserve(unit.size());
-
-  // Create all copies first so intra-unit edges can be wired pairwise. The
-  // copy of unit[i] is copies[i]; `unit` is sorted, so a unit member's copy
-  // is found by binary search instead of a per-call hash map.
-  for (VertexId v : unit) {
-    KSYM_DCHECK(partition.CellOf(v) == cell_index);
-    const VertexId v_copy = graph.AddVertex();
-    partition.AddCopy(v_copy, cell_index, v);
-    copies.push_back(v_copy);
+Graph ReleasedGraph(const Graph& base, const ReleaseDelta& delta) {
+  KSYM_CHECK(base.NumVertices() == delta.base_vertices());
+  const size_t n = delta.NumVertices();
+  std::vector<EdgeIndex> offsets;
+  offsets.reserve(n + 1);
+  offsets.push_back(0);
+  std::vector<VertexId> neighbors;
+  neighbors.reserve(2 * (base.NumEdges() + delta.added_edges()));
+  for (size_t v = 0; v < n; ++v) {
+    AppendReleasedRow(base, delta, static_cast<VertexId>(v), neighbors);
+    offsets.push_back(neighbors.size());
   }
-  const auto copy_of = [&unit, &copies](VertexId u) {
-    const auto it = std::lower_bound(unit.begin(), unit.end(), u);
-    KSYM_CHECK(it != unit.end() && *it == u);
-    return copies[static_cast<size_t>(it - unit.begin())];
-  };
-
-  for (size_t i = 0; i < unit.size(); ++i) {
-    const VertexId v = unit[i];
-    const VertexId v_copy = copies[i];
-    for (VertexId u : graph.Neighbors(v)) {
-      if (partition.CellOf(u) != cell_index) {
-        // Rule 1: the copy keeps the exact external adjacency.
-        graph.AddEdge(u, v_copy);
-      } else {
-        // Rule 2: intra-unit edges are mirrored between the copies. The
-        // unit must be intra-cell closed, so u has a copy (checked in
-        // copy_of); add each mirrored edge once (from the lower-indexed
-        // endpoint).
-        const VertexId u_copy = copy_of(u);
-        if (v < u) graph.AddEdge(v_copy, u_copy);
-      }
-    }
-  }
-  return copies;
+  return Graph::FromCsr(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace ksym

@@ -85,15 +85,15 @@ Result<Graph> ExactBackboneSample(const Graph& graph,
   }
 
   // Regrow: apply CPN[b] orbit copying operations per backbone cell.
-  MutableGraph regrown(backbone.graph);
+  ReleaseDelta regrown(backbone.graph.NumVertices());
   TrackedPartition tracked(backbone.partition);
   for (uint32_t b = 0; b < num_backbone_cells; ++b) {
-    const std::vector<VertexId> unit = backbone.partition.cells[b];
     for (size_t rep = 0; rep < cpn[b]; ++rep) {
-      OrbitCopy(regrown, tracked, b, unit);
+      OrbitCopy(backbone.graph, regrown, tracked, b,
+                backbone.partition.cells[b]);
     }
   }
-  Graph sample = regrown.Freeze();
+  Graph sample = ReleasedGraph(backbone.graph, regrown);
   if (stats != nullptr) {
     stats->backbone_vertices = backbone.graph.NumVertices();
     stats->copy_operations = copy_ops;

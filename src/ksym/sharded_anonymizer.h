@@ -10,21 +10,21 @@
 //      (shard/refine.h) — bit-identical cells and trace hash to the
 //      in-memory run. The exact Orb(G) path needs the IR search's random
 //      access and is not offered out-of-core.
-//   3. Orbit copying replays Algorithm 1 exactly, recording the new
-//      vertices and edges in a ReleaseDelta — O(n + added) vertex state —
-//      while the original edge arrays stay on disk. Rule 1 only ever
-//      attaches *copies* to existing vertices and rule 2 only connects
-//      copies, so an original's base CSR row (all ids < n) plus its sorted
-//      delta row (all ids >= n) is already its final sorted adjacency.
+//   3. Algorithm 1 runs through the same walk and orbit copy as the
+//      in-memory anonymizer (CopyToRequirement, OrbitCopy), with the shard
+//      set as the base graph: the new vertices and edges live in a
+//      ReleaseDelta — O(n + added) vertex state — while the original edge
+//      arrays stay on disk.
 //   4. The released graph streams back out through ShardSetWriter as
-//      balanced vertex-range shards with release-encoded labels
+//      balanced vertex-range shards of the same rows the in-memory release
+//      holds (AppendReleasedRow), with release-encoded labels
 //      (ReleaseCsrLabels), plus a manifest.
 //
 // `ksym_shard merge` of the output is byte-identical to
 // WriteReleaseCsrFile of the in-memory Anonymize run on the merged input —
-// same CSR arrays (Freeze() sorts the same edge sets), same labels, same
-// refinement trace — pinned by sharded_anonymize_test across shard counts,
-// thread counts, and residency budgets.
+// same CSR arrays, same labels, same refinement trace — pinned by
+// sharded_anonymize_test across shard counts, thread counts, and
+// residency budgets.
 
 #ifndef KSYM_KSYM_SHARDED_ANONYMIZER_H_
 #define KSYM_KSYM_SHARDED_ANONYMIZER_H_
@@ -53,7 +53,7 @@ struct ShardedAnonymizationOptions {
   uint32_t output_shards = 0;
 };
 
-struct ShardedAnonymizationResult {
+struct ShardedAnonymizationResult : CopyCounts {
   /// Manifest of the written output shard set.
   ShardManifest manifest;
 
@@ -61,13 +61,6 @@ struct ShardedAnonymizationResult {
   size_t released_vertices = 0;
   size_t released_edges = 0;
 
-  // Same cost accounting as AnonymizationResult.
-  size_t vertices_added = 0;
-  size_t edges_added = 0;
-  size_t copy_operations = 0;
-  size_t orbits_copied = 0;
-  size_t orbits_excluded = 0;
-  size_t orbits_satisfied = 0;
   RefinementStats refinement;
   uint64_t refinement_trace = 0;
 

@@ -17,8 +17,9 @@
 //
 // Threading: ShardedGraph itself is single-threaded — one orchestrating
 // thread opens shards and hands ShardViews (or the spans inside them) to
-// ParallelFor workers, which only read. That matches how every kernel in
-// shard/kernels.h drives it.
+// workers, which only read. Its callers (ShardedNeighborSource, and the
+// anonymizer's orbit copy and release streaming) all access it from one
+// thread.
 
 #ifndef KSYM_SHARD_SHARDED_GRAPH_H_
 #define KSYM_SHARD_SHARDED_GRAPH_H_

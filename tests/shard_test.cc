@@ -1,9 +1,8 @@
 // Tests for the shard subsystem (DESIGN.md §10): manifest round trips and
 // the negative validation ladder (one rung per corruption mode, mirroring
 // csr_io_test's style), partition planning, split -> merge byte identity,
-// ShardedGraph accessor equivalence under forced eviction, and the
-// bit-identical contract of every shard-streaming kernel at 1/2/4 shards
-// x 1/2/4 threads against the whole-graph in-memory path.
+// and ShardedGraph accessor equivalence and view pinning under forced
+// eviction.
 
 #include <gtest/gtest.h>
 
@@ -15,16 +14,13 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "shard/kernels.h"
 #include "shard/manifest.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_graph.h"
-#include "stats/distributions.h"
 
 namespace ksym {
 namespace {
@@ -407,7 +403,9 @@ TEST(PartitionerTest, EntryBudgetPlanRespectsBudgetExceptLoneHubs) {
     EXPECT_LT(begin, end);
     cursor = end;
     const uint64_t entries = graph.RawOffsets()[end] - graph.RawOffsets()[begin];
-    if (end - begin > 1) EXPECT_LE(entries, options.max_entries);
+    if (end - begin > 1) {
+      EXPECT_LE(entries, options.max_entries);
+    }
   }
   EXPECT_EQ(cursor, graph.NumVertices());
 }
@@ -565,68 +563,6 @@ TEST(ShardedGraphTest, ViewPinsShardAcrossEviction) {
   EXPECT_EQ(before.data(), after.data());
   EXPECT_TRUE(std::equal(after.begin(), after.end(),
                          graph.Neighbors(0).begin()));
-}
-
-// ---------------------------------------------------------------------------
-// Kernel bit-identity: 1/2/4 shards x 1/2/4 threads, tight residency.
-// ---------------------------------------------------------------------------
-
-class ShardKernelsTest : public testing::TestWithParam<
-                             std::tuple<uint32_t, uint32_t, size_t>> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    ShardsThreads, ShardKernelsTest,
-    testing::Combine(testing::Values(1u, 2u, 4u),   // shards
-                     testing::Values(1u, 2u, 4u),   // threads
-                     testing::Values(size_t{256} << 20,  // generous budget
-                                     size_t{1})));       // evict constantly
-
-TEST_P(ShardKernelsTest, BitIdenticalToWholeGraphKernels) {
-  const auto [num_shards, num_threads, budget] = GetParam();
-  const Graph graph = MakeTestGraph();
-
-  const std::string manifest_path = SplitToTemp(
-      graph, {}, num_shards,
-      "kernels_" + std::to_string(num_shards) + "_" +
-          std::to_string(num_threads) + "_" + std::to_string(budget & 1));
-  ShardedGraphOptions options;
-  options.max_resident_bytes = budget;
-  auto sharded = ShardedGraph::Open(manifest_path, options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-
-  const ExecutionContext context(num_threads);
-
-  // Degrees: slot-disjoint writes.
-  EXPECT_EQ(ShardedDegreeValues(*sharded, &context), DegreeValues(graph));
-
-  // Triangles: commutative integer corner credits.
-  EXPECT_EQ(ShardedTriangleCounts(*sharded, &context), TriangleCounts(graph));
-  EXPECT_EQ(ShardedTotalTriangles(*sharded, &context), TotalTriangles(graph));
-
-  // Clustering: identical integers through the identical expression, so the
-  // doubles compare bit-equal.
-  EXPECT_EQ(ShardedClusteringValues(*sharded, &context),
-            ClusteringValues(graph));
-
-  // BFS levels, including sources whose component excludes the tail cycle
-  // (dense component is vertices [0, 60), cycle is [60, 69)).
-  for (const VertexId source : {VertexId{0}, VertexId{31}, VertexId{62}}) {
-    std::vector<int64_t> dist;
-    ShardedBfsDistancesInto(*sharded, source, dist, &context);
-    EXPECT_EQ(dist, BfsDistances(graph, source)) << "source " << source;
-  }
-
-  // Sampled path lengths: same seed, same Rng stream, same accepted
-  // lengths in the same order.
-  Rng rng_whole(321);
-  Rng rng_sharded(321);
-  const std::vector<double> expected =
-      SampledPathLengths(graph, 40, rng_whole);
-  const std::vector<double> actual =
-      ShardedSampledPathLengths(*sharded, 40, rng_sharded, &context);
-  EXPECT_EQ(actual, expected);
-  // Identical stream consumption: the generators are in the same state.
-  EXPECT_EQ(rng_sharded.Next(), rng_whole.Next());
 }
 
 }  // namespace
