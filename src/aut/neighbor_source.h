@@ -46,9 +46,9 @@ class NeighborSource {
 };
 
 /// The in-memory implementation: one resident CSR Graph. This is the path
-/// every pre-existing Refiner user (automorphism search, canonical
-/// labelling, attack measures) still takes; the loops are verbatim the ones
-/// that used to live inside Refiner.
+/// every in-memory Refiner user (automorphism search, canonical labelling,
+/// attack measures) takes: one plain loop over each splitter member's
+/// sorted neighbor list.
 class CsrNeighborSource final : public NeighborSource {
  public:
   explicit CsrNeighborSource(const Graph& graph) : graph_(graph) {}
@@ -60,15 +60,7 @@ class CsrNeighborSource final : public NeighborSource {
                      std::vector<VertexId>& touched) override;
 
  private:
-  /// True when the dense target-side pass should handle this splitter;
-  /// fills splitter_bits_ as a side effect when it returns true.
-  bool PrepareDenseSplitter(std::span<const VertexId> splitter);
-
   const Graph& graph_;
-  /// Splitter-membership bitmap scratch for the dense counting path
-  /// (simd/splitter.h); sized and zeroed per dense call, reused across
-  /// calls to avoid churn.
-  std::vector<uint64_t> splitter_bits_;
 };
 
 }  // namespace ksym

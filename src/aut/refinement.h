@@ -135,8 +135,8 @@ struct RefinementOptions {
 ///
 /// The layout a split produces depends only on the set of touched vertices
 /// and their counts, never on the order a NeighborSource reports them, so
-/// the partition and the trace hash are bit-identical across sources, SIMD
-/// levels and thread counts. The context only collects stats.
+/// the partition and the trace hash are bit-identical across sources and
+/// thread counts. The context only collects stats.
 ///
 /// The Graph constructors bind the refiner to an in-memory CSR source; the
 /// NeighborSource constructor accepts any implementation of the counting

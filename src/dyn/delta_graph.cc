@@ -205,11 +205,8 @@ uint64_t GraphContentChecksum(const Graph& graph) {
   return h;
 }
 
-// The scalar CSR counting loops from CsrNeighborSource, re-run over the
-// merged view. No dense-splitter gate here: the overlay is small by
-// construction (compaction caps the ratio), so the scalar walk is already
-// within a branch of the CSR path, and keeping one code path keeps the
-// bit-identity argument trivial.
+// The CSR counting loop from CsrNeighborSource, re-run over the merged
+// view.
 void DeltaNeighborSource::CountSplitter(std::span<const VertexId> splitter,
                                         std::span<uint32_t> count,
                                         std::vector<VertexId>& touched) {

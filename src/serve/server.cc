@@ -14,7 +14,6 @@
 #include "common/str.h"
 #include "common/timer.h"
 #include "serve/wire.h"
-#include "simd/simd.h"
 
 namespace ksym {
 namespace serve {
@@ -576,17 +575,6 @@ std::string Server::StatsReport() const {
   line("plan_cache_entries", plan.entries);
   line("plan_cache_max_bytes", dynamic_->registry.plan_cache().max_bytes());
   line("dynamic_sessions", dynamic_->registry.num_sessions());
-  // Which SIMD tier the daemon dispatched to, and how often each kernel
-  // family has actually run — so a live instance's hot paths are auditable
-  // without a debugger (DESIGN.md §13).
-  const simd::SimdCallCounts simd_calls = simd::SimdCallCountsSnapshot();
-  report += StrFormat("simd_level: %s\n",
-                      simd::SimdLevelName(simd::ActiveSimdLevel()));
-  line("simd_intersect_calls", simd_calls.intersect);
-  line("simd_intersect_gallop_calls", simd_calls.intersect_gallop);
-  line("simd_splitter_dense_calls", simd_calls.splitter_dense);
-  line("simd_splitter_scalar_calls", simd_calls.splitter_scalar);
-  line("simd_bfs_expand_calls", simd_calls.bfs_expand);
   report += StrFormat("phase_anonymize_seconds: %.3f\n",
                       snapshot.anonymize_seconds);
   report += StrFormat("phase_audit_seconds: %.3f\n", snapshot.audit_seconds);

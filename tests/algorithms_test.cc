@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 
 namespace ksym {
@@ -84,6 +88,51 @@ TEST(TriangleTest, SingleTriangleWithTail) {
   EXPECT_EQ(tri[1], 1u);
   EXPECT_EQ(tri[2], 1u);
   EXPECT_EQ(tri[3], 0u);
+}
+
+// Reference for the suffix merge in TriangleCounts: the triangles on v
+// are the adjacent pairs among its neighbours.
+std::vector<uint64_t> BruteForceTriangleCounts(const Graph& g) {
+  std::vector<uint64_t> tri(g.NumVertices(), 0);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const auto nv = g.Neighbors(v);
+    for (size_t i = 0; i < nv.size(); ++i) {
+      for (size_t j = i + 1; j < nv.size(); ++j) {
+        tri[v] += g.HasEdge(nv[i], nv[j]) ? 1 : 0;
+      }
+    }
+  }
+  return tri;
+}
+
+// A 200-leaf star whose leaves pair into triangles with the hub, plus a
+// K8 that the hub also joins: hub pairs intersect one long neighbour
+// list with short ones.
+Graph HubSkewedGraph() {
+  const VertexId hub = 0;
+  GraphBuilder b(209);
+  for (VertexId leaf = 1; leaf <= 200; ++leaf) b.AddEdge(hub, leaf);
+  for (VertexId leaf = 1; leaf <= 200; leaf += 2) b.AddEdge(leaf, leaf + 1);
+  for (VertexId u = 201; u < 209; ++u) {
+    b.AddEdge(hub, u);
+    for (VertexId v = u + 1; v < 209; ++v) b.AddEdge(u, v);
+  }
+  return b.Build();
+}
+
+TEST(TriangleTest, MatchesBruteForceReference) {
+  Rng rng(14);
+  const Graph er = ErdosRenyiGnm(300, 3000, rng);
+  const Graph ba = BarabasiAlbert(400, 3, rng);
+  const Graph hub = HubSkewedGraph();
+  const ExecutionContext four(4);
+  for (const Graph* g : {&er, &ba, &hub}) {
+    const std::vector<uint64_t> expected = BruteForceTriangleCounts(*g);
+    EXPECT_EQ(TriangleCounts(*g), expected);
+    EXPECT_EQ(TriangleCounts(*g, &four), expected);
+  }
+  // The hub closes one triangle per leaf pair and C(8,2) with the K8.
+  EXPECT_EQ(TriangleCounts(hub)[0], 100u + 28u);
 }
 
 TEST(ClusteringTest, CompleteGraphIsOne) {
