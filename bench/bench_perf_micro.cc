@@ -5,8 +5,8 @@
 // samplers. Complements the figure benches, which measure end-to-end shapes
 // rather than throughput.
 //
-// Run with no arguments to also write machine-readable JSON to
-// BENCH_pr9.json (override with the usual --benchmark_out= flags). Graph
+// Pass --benchmark_out=FILE --benchmark_out_format=json to also write
+// machine-readable JSON (the BENCH_prN.json artifacts are made so). Graph
 // memory footprints (Graph::MemoryBytes) and process peak RSS are attached
 // as counters, so the bench trajectory tracks space as well as time;
 // BM_RefineAll reports the refiner's work counters, the thread-scaling
@@ -76,6 +76,11 @@ const Graph& EnronGraph() {
 
 const Graph& HepthGraph() {
   static const Graph* graph = new Graph(MakeHepthLike());
+  return *graph;
+}
+
+const Graph& NetTraceGraph() {
+  static const Graph* graph = new Graph(MakeNetTraceLike());
   return *graph;
 }
 
@@ -413,6 +418,15 @@ void BM_AutomorphismSearchHepth(benchmark::State& state) {
   AttachMemoryCounters(state, graph);
 }
 BENCHMARK(BM_AutomorphismSearchHepth);
+
+void BM_AutomorphismSearchNetTrace(benchmark::State& state) {
+  const Graph& graph = NetTraceGraph();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeAutomorphismPartition(graph, {}, nullptr));
+  }
+  AttachMemoryCounters(state, graph);
+}
+BENCHMARK(BM_AutomorphismSearchNetTrace);
 
 void BM_AutomorphismSearchRandom(benchmark::State& state) {
   Rng rng(1);
@@ -955,25 +969,11 @@ BENCHMARK(BM_FullRecomputeAfterEdits)
 #define KSYM_BENCHMARK_LIB_BUILD_TYPE "unknown"
 #endif
 
-// Custom main: defaults JSON output to BENCH_pr9.json so every run leaves a
-// machine-readable trace, while still honouring explicit --benchmark_out=.
+// Custom main: the stock flags plus a build-provenance context and a
+// warning when the thread sweeps cannot show scaling.
 int main(int argc, char** argv) {
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
-  }
-  std::vector<char*> args(argv, argv + argc);
-  static char out_flag[] = "--benchmark_out=BENCH_pr10.json";
-  static char out_format[] = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag);
-    args.push_back(out_format);
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   // Whether the thread sweeps ran on real cores: on a single-core container
   // the 2/4/8-thread rows measure scheduling overhead, not scaling.
   const unsigned hw = std::thread::hardware_concurrency();

@@ -1,28 +1,17 @@
 #include "aut/search.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "aut/refinement.h"
+#include "common/rng.h"
 #include "perm/union_find.h"
 
 namespace ksym {
 namespace {
-
-// Relabelled, normalized, sorted edge list of `graph` under labelling
-// `lab` (vertex -> position), written into `edges` (reused across leaves).
-// Two leaves are automorphic images of each other iff these lists are equal.
-void RelabeledEdgesInto(const Graph& graph, const Permutation& lab,
-                        std::vector<std::pair<VertexId, VertexId>>& edges) {
-  edges.clear();
-  edges.reserve(graph.NumEdges());
-  graph.ForEachEdge([&lab, &edges](VertexId u, VertexId v) {
-    const VertexId lu = lab.Image(u);
-    const VertexId lv = lab.Image(v);
-    edges.emplace_back(std::min(lu, lv), std::max(lu, lv));
-  });
-  std::sort(edges.begin(), edges.end());
-}
 
 class AutSearcher {
  public:
@@ -32,7 +21,8 @@ class AutSearcher {
         n_(graph.NumVertices()),
         colors_(colors),
         refiner_(graph, context),
-        global_orbits_(n_) {}
+        global_orbits_(n_),
+        mark_(n_, 0) {}
 
   AutomorphismResult Run() {
     if (n_ > 0) {
@@ -150,26 +140,41 @@ class AutSearcher {
   }
 
   Outcome HandleLeaf(const OrderedPartition& p) {
-    Permutation lab = p.ToLabeling();
-    std::vector<std::pair<VertexId, VertexId>>& edges = leaf_edges_;
-    RelabeledEdgesInto(graph_, lab, edges);
+    const Permutation lab = p.ToLabeling();
     if (!have_first_) {
       have_first_ = true;
-      first_labeling_ = std::move(lab);
-      first_edges_ = std::move(edges);
+      first_inverse_ = lab.Inverse();
       return Outcome::kContinue;
     }
-    if (edges == first_edges_) {
-      // lab and first_labeling_ produce the same labelled graph, so
-      // g = lab ∘ first_labeling_^{-1} is an automorphism.
-      Permutation g = lab.Compose(first_labeling_.Inverse());
-      if (!g.IsIdentity()) {
-        for (VertexId x = 0; x < n_; ++x) global_orbits_.Union(x, g.Image(x));
-        generators_.push_back(std::move(g));
-        return Outcome::kAutFound;
+    // g = lab · first⁻¹ sends each vertex to the vertex that holds its
+    // position in the first leaf. Both leaves refine the same colour cells
+    // position for position, so g preserves colours.
+    Permutation g = lab.Compose(first_inverse_);
+    if (g.IsIdentity() || !MapsEdgesToEdges(g)) return Outcome::kContinue;
+    for (VertexId x = 0; x < n_; ++x) global_orbits_.Union(x, g.Image(x));
+    generators_.push_back(std::move(g));
+    return Outcome::kAutFound;
+  }
+
+  // The leaf certificate, O(n + m): true iff g maps every edge to an edge.
+  // g is a bijection, so its map on edges is injective, hence onto the
+  // finite edge set: g is an automorphism exactly when this holds.
+  bool MapsEdgesToEdges(const Permutation& g) {
+    for (VertexId u = 0; u < n_; ++u) {
+      const std::span<const VertexId> nu = graph_.Neighbors(u);
+      const std::span<const VertexId> ngu = graph_.Neighbors(g.Image(u));
+      if (nu.size() != ngu.size()) return false;
+      if (nu.empty()) continue;
+      if (++stamp_ == 0) {  // Wrapped: clear stale stamps.
+        std::fill(mark_.begin(), mark_.end(), 0);
+        stamp_ = 1;
+      }
+      for (VertexId w : ngu) mark_[w] = stamp_;
+      for (VertexId v : nu) {
+        if (mark_[g.Image(v)] != stamp_) return false;
       }
     }
-    return Outcome::kContinue;
+    return true;
   }
 
   const Graph& graph_;
@@ -179,15 +184,203 @@ class AutSearcher {
 
   bool have_first_ = false;
   std::vector<uint64_t> first_inv_;  // Invariant trace of the leftmost path.
-  Permutation first_labeling_;
-  std::vector<std::pair<VertexId, VertexId>> first_edges_;
-  // Scratch: relabelled edge list of the current leaf, reused across leaves.
-  std::vector<std::pair<VertexId, VertexId>> leaf_edges_;
+  Permutation first_inverse_;        // First leaf's position -> vertex.
 
   std::vector<Permutation> generators_;
   UnionFind global_orbits_;
   uint64_t nodes_ = 0;
+
+  // Scratch for MapsEdgesToEdges: mark_[w] == stamp_ iff w ∈ N(g(u)).
+  std::vector<uint32_t> mark_;
+  uint32_t stamp_ = 0;
 };
+
+// N[u] == N[v] (closed neighbourhoods): u ~ v and N(u) - v == N(v) - u.
+bool SameClosedNeighborhood(const Graph& graph, VertexId u, VertexId v) {
+  const std::span<const VertexId> a = graph.Neighbors(u);
+  const std::span<const VertexId> b = graph.Neighbors(v);
+  if (a.size() != b.size() || !std::binary_search(a.begin(), a.end(), v)) {
+    return false;
+  }
+  size_t i = 0;
+  size_t j = 0;
+  while (true) {
+    if (i < a.size() && a[i] == v) ++i;
+    if (j < b.size() && b[j] == u) ++j;
+    if (i == a.size() || j == b.size()) return i == a.size() && j == b.size();
+    if (a[i++] != b[j++]) return false;
+  }
+}
+
+// rep[v] = the minimum vertex with v's colour and v's open (closed == false)
+// or closed neighbourhood. Vertices are bucketed by (colour, degree, an
+// order-free hash of the neighbourhood), and each bucket is split by exact
+// neighbour-list comparison, so a hash collision never merges two classes.
+std::vector<VertexId> TwinRepresentatives(const Graph& graph,
+                                          const std::vector<uint32_t>& colors,
+                                          bool closed) {
+  const VertexId n = static_cast<VertexId>(graph.NumVertices());
+  auto mix = [](VertexId x) {
+    uint64_t state = x;
+    return SplitMix64(state);
+  };
+  // ((colour, degree, hash), vertex), sorted: buckets are runs of equal
+  // first halves, each in ascending vertex order.
+  std::vector<std::pair<std::tuple<uint32_t, size_t, uint64_t>, VertexId>>
+      keys(n);
+  for (VertexId v = 0; v < n; ++v) {
+    uint64_t hash = closed ? mix(v) : 0;
+    for (VertexId w : graph.Neighbors(v)) hash += mix(w);
+    keys[v] = {{colors.empty() ? 0 : colors[v], graph.Degree(v), hash}, v};
+  }
+  std::sort(keys.begin(), keys.end());
+
+  std::vector<VertexId> rep(n);
+  std::vector<VertexId> bucket_reps;
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && keys[end].first == keys[begin].first) ++end;
+    bucket_reps.clear();
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId v = keys[i].second;
+      rep[v] = v;
+      for (VertexId r : bucket_reps) {
+        const bool same =
+            closed ? SameClosedNeighborhood(graph, r, v)
+                   : std::ranges::equal(graph.Neighbors(r), graph.Neighbors(v));
+        if (same) {
+          rep[v] = r;
+          break;
+        }
+      }
+      if (rep[v] == v) bucket_reps.push_back(v);
+    }
+    begin = end;
+  }
+  return rep;
+}
+
+// The twin quotient Q of a coloured graph G. Twins — same colour and the
+// same open or closed neighbourhood — form classes; Q has one vertex per
+// class, and Q vertices are adjacent iff their classes are (twin classes
+// are joined completely or not at all). A class of open twins is
+// independent in G and one of closed twins is a clique, so G is Q with
+// each vertex blown up by its (twin type, size): Aut(G) is the lift of
+// Aut(Q, (colour, type, size)) times the symmetric groups of the classes.
+struct TwinQuotient {
+  Graph graph;
+  std::vector<uint32_t> colors;  // Dense rank of (colour, twin type, size).
+  std::vector<uint32_t> class_of;  // G vertex -> Q vertex.
+  // Class c is members[offsets[c] .. offsets[c + 1]), ascending. Classes
+  // are numbered in order of their minimum member.
+  std::vector<uint32_t> offsets;
+  std::vector<VertexId> members;
+
+  std::span<const VertexId> Members(uint32_t c) const {
+    return {members.data() + offsets[c], offsets[c + 1] - offsets[c]};
+  }
+};
+
+TwinQuotient BuildTwinQuotient(const Graph& graph,
+                               const std::vector<uint32_t>& colors) {
+  const VertexId n = static_cast<VertexId>(graph.NumVertices());
+  const std::vector<VertexId> open = TwinRepresentatives(graph, colors, false);
+  const std::vector<VertexId> closed = TwinRepresentatives(graph, colors, true);
+  std::vector<uint32_t> open_size(n, 0);
+  std::vector<uint32_t> closed_size(n, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    ++open_size[open[v]];
+    ++closed_size[closed[v]];
+  }
+
+  // A vertex with an open twin w and a closed twin x would have
+  // x ∈ N(v) = N(w), so w ∈ N[x] = N[v], yet open twins are non-adjacent:
+  // the nontrivial classes of the two kinds are disjoint, and taking the
+  // open class where it is nontrivial and the closed class otherwise
+  // partitions V.
+  TwinQuotient q;
+  q.class_of.resize(n);
+  std::vector<uint32_t> class_of_rep(n);
+  std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> keys;
+  for (VertexId v = 0; v < n; ++v) {
+    KSYM_DCHECK(open_size[open[v]] == 1 || closed_size[closed[v]] == 1);
+    const bool is_closed = open_size[open[v]] == 1;
+    const VertexId r = is_closed ? closed[v] : open[v];
+    if (r == v) {  // Minimum member: a new class.
+      class_of_rep[v] = static_cast<uint32_t>(keys.size());
+      const uint32_t size = is_closed ? closed_size[v] : open_size[v];
+      keys.emplace_back(colors.empty() ? 0 : colors[v],
+                        is_closed && size > 1 ? 1u : 0u, size);
+    }
+    q.class_of[v] = class_of_rep[r];
+  }
+  const uint32_t num_classes = static_cast<uint32_t>(keys.size());
+
+  std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> ranks = keys;
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  q.colors.resize(num_classes);
+  for (uint32_t c = 0; c < num_classes; ++c) {
+    q.colors[c] = static_cast<uint32_t>(
+        std::lower_bound(ranks.begin(), ranks.end(), keys[c]) - ranks.begin());
+  }
+
+  q.offsets.assign(num_classes + 1, 0);
+  for (VertexId v = 0; v < n; ++v) ++q.offsets[q.class_of[v] + 1];
+  for (uint32_t c = 0; c < num_classes; ++c) q.offsets[c + 1] += q.offsets[c];
+  q.members.resize(n);
+  std::vector<uint32_t> cursor(q.offsets.begin(), q.offsets.end() - 1);
+  for (VertexId v = 0; v < n; ++v) q.members[cursor[q.class_of[v]]++] = v;
+
+  GraphBuilder builder(num_classes);
+  for (uint32_t c = 0; c < num_classes; ++c) {
+    for (VertexId w : graph.Neighbors(q.Members(c).front())) {
+      const uint32_t d = q.class_of[w];
+      if (c < d) builder.AddEdge(c, d);
+    }
+  }
+  q.graph = builder.Build();
+  return q;
+}
+
+// Lifts the search result on Q to G: each Q generator σ maps the i-th
+// member of class A to the i-th member of σ(A), the adjacent
+// transpositions of every class generate its symmetric group, and a
+// vertex's orbit is the union of the classes in its class's Q-orbit.
+AutomorphismResult LiftToGraph(const TwinQuotient& q,
+                               const AutomorphismResult& quotient) {
+  const size_t n = q.class_of.size();
+  const uint32_t num_classes = static_cast<uint32_t>(q.offsets.size() - 1);
+  AutomorphismResult result;
+  result.nodes = quotient.nodes;
+  for (const Permutation& sigma : quotient.generators) {
+    std::vector<VertexId> images(n);
+    for (uint32_t c = 0; c < num_classes; ++c) {
+      const std::span<const VertexId> from = q.Members(c);
+      const std::span<const VertexId> to = q.Members(sigma.Image(c));
+      KSYM_DCHECK(from.size() == to.size());
+      for (size_t i = 0; i < from.size(); ++i) images[from[i]] = to[i];
+    }
+    result.generators.emplace_back(std::move(images));
+  }
+  for (uint32_t c = 0; c < num_classes; ++c) {
+    const std::span<const VertexId> members = q.Members(c);
+    for (size_t i = 1; i < members.size(); ++i) {
+      std::vector<VertexId> images(n);
+      std::iota(images.begin(), images.end(), 0u);
+      std::swap(images[members[i - 1]], images[members[i]]);
+      result.generators.emplace_back(std::move(images));
+    }
+  }
+  // Classes are numbered by minimum member and Q's orbit_rep is the
+  // minimum class, so its first member is the minimum of the G-orbit.
+  result.orbit_rep.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    result.orbit_rep[v] =
+        q.Members(quotient.orbit_rep[q.class_of[v]]).front();
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -195,7 +388,8 @@ AutomorphismResult ComputeAutomorphisms(const Graph& graph,
                                         const std::vector<uint32_t>& colors,
                                         const ExecutionContext* context) {
   KSYM_CHECK(colors.empty() || colors.size() == graph.NumVertices());
-  return AutSearcher(graph, colors, context).Run();
+  const TwinQuotient q = BuildTwinQuotient(graph, colors);
+  return LiftToGraph(q, AutSearcher(q.graph, q.colors, context).Run());
 }
 
 }  // namespace ksym
