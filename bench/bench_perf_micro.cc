@@ -931,6 +931,8 @@ void BM_IncrementalRepair(benchmark::State& state) {
                           static_cast<int64_t>(data.base.NumVertices()));
   state.counters["repair_splitters"] =
       benchmark::Counter(static_cast<double>(stats.refine_splitters));
+  state.counters["quotient_splitters"] =
+      benchmark::Counter(static_cast<double>(stats.quotient_splitters));
   state.counters["full_splitters"] = benchmark::Counter(
       static_cast<double>(full_context.stats().splitters_processed));
   state.counters["threads"] =

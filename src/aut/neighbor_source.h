@@ -7,13 +7,15 @@
 // to it" — at whole-splitter granularity, so the refiner pays one virtual
 // call per splitter instead of one per edge, and the same splitting code
 // runs over an in-memory CSR graph (CsrNeighborSource, below), an
-// out-of-core shard set (ShardedNeighborSource in shard/refine.h) or an
-// edit overlay (DeltaNeighborSource in dyn/delta_graph.h) without knowing
+// out-of-core shard set (ShardedNeighborSource in shard/refine.h), an
+// edit overlay (DeltaNeighborSource in dyn/delta_graph.h) or the weighted
+// cell quotient of the incremental repair (dyn/repair.cc) without knowing
 // which.
 //
 // Contract: `count` has NumVertices() entries, all zero on entry. Each
-// neighbor occurrence increments its count by one; the increment that
-// lifts a vertex's count off zero appends that vertex to `touched`, so
+// neighbor occurrence increments its count by its weight (1 for a graph;
+// weights are positive and a vertex's total fits uint32_t); the increment
+// that lifts a vertex's count off zero appends that vertex to `touched`, so
 // `touched` enumerates {v : count[v] > 0} exactly once, in any order.
 // Counts are commutative sums, so any implementation that performs the same
 // multiset of increments is equivalent: the refiner orders each cell's
@@ -38,8 +40,9 @@ class NeighborSource {
   /// Number of vertices of the underlying graph (sizes the count array).
   virtual size_t NumVertices() const = 0;
 
-  /// Counting pass: for every edge (u, v) with u in `splitter`,
-  /// ++count[v], appending v to `touched` when its count lifts off zero.
+  /// Counting pass: for every edge (u, v) with u in `splitter`, adds the
+  /// edge's weight (1 for a graph) to count[v], appending v to `touched`
+  /// when its count lifts off zero.
   virtual void CountSplitter(std::span<const VertexId> splitter,
                              std::span<uint32_t> count,
                              std::vector<VertexId>& touched) = 0;

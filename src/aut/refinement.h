@@ -140,8 +140,10 @@ struct RefinementOptions {
 ///
 /// The Graph constructors bind the refiner to an in-memory CSR source; the
 /// NeighborSource constructor accepts any implementation of the counting
-/// seam (e.g. ShardedNeighborSource for out-of-core shard sets) — splitting
-/// and the trace hash are source-agnostic (DESIGN.md §11).
+/// seam (ShardedNeighborSource for out-of-core shard sets,
+/// DeltaNeighborSource for an edit overlay, or the repair's weighted cell
+/// quotient) — splitting and the trace hash are source-agnostic
+/// (DESIGN.md §11).
 class Refiner {
  public:
   explicit Refiner(const Graph& graph);

@@ -20,61 +20,29 @@ uint64_t PartitionChecksum(const VertexPartition& partition) {
 
 namespace {
 
-// Weighted colour refinement on the cell quotient of an equitable
-// partition: rows[i] holds (j, d_ij) with d_ij = neighbours any vertex of
-// cell i has in cell j. Starting from the unit colouring, iterate
-// signature = (own colour, per-colour summed weights) until the colour
-// count stops growing. Returns the stable colour per cell.
-std::vector<uint32_t> QuotientStableColors(
-    const std::vector<std::vector<std::pair<uint32_t, uint32_t>>>& rows) {
-  const size_t c = rows.size();
-  std::vector<uint32_t> color(c, 0);
-  size_t num_colors = 1;
-  // Signatures flattened as uint64 sequences; sort-based grouping.
-  std::vector<std::vector<uint64_t>> sig(c);
-  std::vector<std::pair<uint32_t, uint64_t>> acc;  // (colour, summed weight)
-  std::vector<uint32_t> order(c);
-  for (uint32_t i = 0; i < c; ++i) order[i] = i;
-  for (;;) {
-    for (size_t i = 0; i < c; ++i) {
-      acc.clear();
-      for (const auto& [j, w] : rows[i]) acc.push_back({color[j], w});
-      std::sort(acc.begin(), acc.end());
-      std::vector<uint64_t>& s = sig[i];
-      s.clear();
-      s.push_back(color[i]);
-      // Merge-sum runs of equal colour.
-      for (size_t a = 0; a < acc.size();) {
-        uint64_t sum = 0;
-        size_t b = a;
-        while (b < acc.size() && acc[b].first == acc[a].first) {
-          sum += acc[b].second;
-          ++b;
-        }
-        s.push_back(acc[a].first);
-        s.push_back(sum);
-        a = b;
+// The cell quotient of an equitable partition P* as a weighted graph on the
+// c cells: column j lists (i, d_ij) for every cell i with d_ij > 0, where
+// d_ij = |N(v) ∩ cell_j| for any v in cell_i (well-defined by
+// equitability). Counting splitter cells S adds sum over j in S of d_ij to
+// count[i]: the neighbours any vertex of cell i has in the union of S.
+struct QuotientNeighborSource final : NeighborSource {
+  std::vector<size_t> offsets = {0};  // Column j: [offsets[j], offsets[j+1]).
+  std::vector<std::pair<uint32_t, uint32_t>> entries;  // (i, d_ij).
+
+  size_t NumVertices() const override { return offsets.size() - 1; }
+
+  void CountSplitter(std::span<const VertexId> splitter,
+                     std::span<uint32_t> count,
+                     std::vector<VertexId>& touched) override {
+    for (const VertexId j : splitter) {
+      for (size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
+        const auto [i, weight] = entries[e];
+        if (count[i] == 0) touched.push_back(i);
+        count[i] += weight;
       }
     }
-    // New colours by signature, assigned in ascending signature order (any
-    // deterministic order works; the lifted partition is the same).
-    std::sort(order.begin(), order.end(), [&sig](uint32_t a, uint32_t b) {
-      return sig[a] < sig[b];
-    });
-    std::vector<uint32_t> next(c, 0);
-    size_t next_colors = 0;
-    for (size_t i = 0; i < c; ++i) {
-      if (i > 0 && sig[order[i]] != sig[order[i - 1]]) ++next_colors;
-      next[order[i]] = static_cast<uint32_t>(next_colors);
-    }
-    ++next_colors;
-    // Signatures include the old colour, so colours only ever split; a
-    // stable count means a stable partition.
-    if (next_colors == num_colors) return color;
-    color = std::move(next);
-    num_colors = next_colors;
   }
-}
+};
 
 }  // namespace
 
@@ -134,46 +102,58 @@ Result<VertexPartition> RepairTotalDegreePartition(
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   if (stats != nullptr) stats->seed_cells = seeds.size();
 
-  Refiner refiner(source, context);
-  const uint64_t splitters_before =
-      context != nullptr ? context->stats().splitters_processed : 0;
-  refiner.RefineSeeded(p, seeds);
-  if (stats != nullptr && context != nullptr) {
-    stats->refine_splitters =
-        context->stats().splitters_processed - splitters_before;
-  }
+  const auto splitters = [context]() -> uint64_t {
+    return context != nullptr ? context->stats().splitters_processed : 0;
+  };
+  const uint64_t seeded_start = splitters();
+  Refiner(source, context).RefineSeeded(p, seeds);
+  const uint64_t quotient_start = splitters();
 
-  // Quotient coarsening. P* cells and a representative-vertex -> cell map;
-  // one counting pass per cell j fills column j of the weight matrix, read
-  // off at representatives only (equitability makes any member exact).
-  std::vector<std::vector<VertexId>> star = p.Cells();
-  const size_t c = star.size();
-  if (stats != nullptr) stats->refined_cells = c;
+  // Quotient coarsening. Index the P* cells in partition order; one
+  // counting pass per cell j fills column j of the weight matrix, read off
+  // at each cell's first member (equitability makes any member exact).
+  std::vector<uint32_t> starts;
   constexpr uint32_t kNotRep = static_cast<uint32_t>(-1);
   std::vector<uint32_t> rep_cell(n, kNotRep);
-  for (uint32_t i = 0; i < c; ++i) rep_cell[star[i].front()] = i;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows(c);
+  for (uint32_t start = 0; start < n; start += p.CellSizeAt(start)) {
+    rep_cell[p.CellAt(start).front()] = static_cast<uint32_t>(starts.size());
+    starts.push_back(start);
+  }
+  const size_t c = starts.size();
+  QuotientNeighborSource quotient;
+  quotient.offsets.reserve(c + 1);
   std::vector<VertexId> counted;
-  for (uint32_t j = 0; j < c; ++j) {
-    source.CountSplitter(star[j], count, counted);
+  for (const uint32_t start : starts) {
+    source.CountSplitter(p.CellAt(start), count, counted);
     for (VertexId v : counted) {
       if (rep_cell[v] != kNotRep) {
-        rows[rep_cell[v]].push_back({j, count[v]});
+        quotient.entries.push_back({rep_cell[v], count[v]});
       }
       count[v] = 0;
     }
     counted.clear();
+    quotient.offsets.push_back(quotient.entries.size());
   }
 
-  const std::vector<uint32_t> qcolor = QuotientStableColors(rows);
-  uint32_t num_classes = 0;
-  for (uint32_t color : qcolor) num_classes = std::max(num_classes, color + 1);
-  if (stats != nullptr) stats->quotient_merges = c - num_classes;
+  // The coarsest equitable partition of the weighted quotient, refined from
+  // the unit partition, names the P* cells that TDV(G_new) merges.
+  OrderedPartition classes(c, {});
+  Refiner(quotient, context).RefineAll(classes);
+  if (stats != nullptr) {
+    stats->refine_splitters = quotient_start - seeded_start;
+    stats->refined_cells = c;
+    stats->quotient_splitters = splitters() - quotient_start;
+    stats->quotient_merges = c - classes.NumCells();
+  }
 
-  std::vector<std::vector<VertexId>> merged(num_classes);
-  for (uint32_t i = 0; i < c; ++i) {
-    std::vector<VertexId>& out = merged[qcolor[i]];
-    out.insert(out.end(), star[i].begin(), star[i].end());
+  std::vector<std::vector<VertexId>> merged;
+  merged.reserve(classes.NumCells());
+  for (uint32_t q = 0; q < c; q += classes.CellSizeAt(q)) {
+    std::vector<VertexId>& out = merged.emplace_back();
+    for (const VertexId i : classes.CellAt(q)) {
+      const std::span<const VertexId> cell = p.CellAt(starts[i]);
+      out.insert(out.end(), cell.begin(), cell.end());
+    }
   }
   return VertexPartition::FromCells(n, std::move(merged));
 }

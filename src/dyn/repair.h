@@ -21,11 +21,14 @@
 //     *coarsen* TDV globally: add one edge to a path and a triangle's
 //     all-in-one-cell partition appears). Build the cell-quotient weight
 //     matrix d(i,j) = |N(v) ∩ cell_j| for v ∈ cell_i (well-defined by
-//     equitability) and run weighted colour refinement on the quotient
-//     from the unit colouring; merging P* cells with equal stable colours
-//     lifts to exactly TDV(G_new) (the lifted partition is equitable, and
-//     the TDV-induced quotient colouring is stable, so the coarsest stable
-//     colouring is no finer than it).
+//     equitability) as a weighted NeighborSource on the P* cells, and run
+//     the one Refiner (RefineAll) on it from the unit partition. Counts
+//     are additive sums of d(i,j) over the splitter's cells, so the
+//     refiner's skip-the-largest-part rule holds as on a graph. Merging
+//     the P* cells of each resulting quotient cell lifts to exactly
+//     TDV(G_new) (the lifted partition is equitable, and the TDV-induced
+//     quotient partition is equitable, so the coarsest one is no finer
+//     than it).
 //
 // The result is returned as a canonical VertexPartition, so bit-identity
 // with ComputeTotalDegreePartition(G_new) is plain operator== — and the
@@ -49,16 +52,19 @@ namespace ksym {
 namespace dyn {
 
 /// Counters for one repair run, asserted in dyn_test / reported by
-/// BM_IncrementalRepair. `refine_splitters` counts only worklist entries
-/// the seeded refine consumed (the quotient pass's counting calls bypass
-/// the worklist), making "repair visits strictly fewer splitters than a
-/// full refine" a well-defined comparison.
+/// BM_IncrementalRepair and the daemon's `reanonymize` report. Both refines
+/// add their work to the context's RefinementStats; `refine_splitters`
+/// counts only the worklist entries the seeded refine consumed, making
+/// "repair visits strictly fewer splitters than a full refine" a
+/// well-defined comparison, and `quotient_splitters` those of the
+/// coarsening refine on the cell quotient.
 struct RepairStats {
   size_t pool_cells = 0;       // Parent cells dissolved into the pool.
   size_t pool_vertices = 0;    // Vertices in the pool.
   size_t seed_cells = 0;       // Worklist seeds handed to RefineSeeded.
   uint64_t refine_splitters = 0;  // Splitters the seeded refine consumed.
   size_t refined_cells = 0;    // |P*| before coarsening.
+  uint64_t quotient_splitters = 0;  // Splitters the coarsening consumed.
   size_t quotient_merges = 0;  // P* cells merged away by coarsening.
 };
 

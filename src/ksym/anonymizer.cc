@@ -1,6 +1,7 @@
 #include "ksym/anonymizer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace ksym {
@@ -24,14 +25,15 @@ size_t DegreeThresholdForExcludedFraction(const Graph& graph,
 
 size_t DegreeThresholdForExcludedFraction(std::span<const size_t> degrees,
                                           double fraction) {
+  KSYM_CHECK(!std::isnan(fraction));
   if (fraction <= 0.0 || degrees.empty()) {
     return std::numeric_limits<size_t>::max();
   }
   std::vector<size_t> sorted(degrees.begin(), degrees.end());
   std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  size_t num_excluded =
-      static_cast<size_t>(fraction * static_cast<double>(degrees.size()));
-  num_excluded = std::min(num_excluded, sorted.size());
+  // Clamp before the cast: a fraction past 1 excludes every vertex.
+  const size_t num_excluded = static_cast<size_t>(
+      std::min(fraction, 1.0) * static_cast<double>(degrees.size()));
   if (num_excluded == 0) return std::numeric_limits<size_t>::max();
   // Exclude exactly the vertices with degree strictly above the cutoff.
   return sorted[num_excluded - 1] == 0 ? 0 : sorted[num_excluded - 1] - 1;

@@ -41,7 +41,8 @@ SymmetryRequirement HubExclusionRequirement(uint32_t k,
 
 /// Helper for the Figure 10/11 sweeps: the degree threshold that excludes
 /// (approximately) the top `fraction` of vertices by descending degree.
-/// fraction = 0 excludes nothing (returns SIZE_MAX).
+/// fraction <= 0 excludes nothing (returns SIZE_MAX); fraction >= 1
+/// excludes every vertex. Requires a fraction that is not NaN.
 size_t DegreeThresholdForExcludedFraction(const Graph& graph, double fraction);
 
 /// Same computation from a bare degree array — the out-of-core pipeline has

@@ -34,6 +34,59 @@ struct CellComponent {
 
 }  // namespace
 
+CellComponents SplitCell(const Graph& graph, const VertexPartition& partition,
+                         uint32_t cell, std::span<const VertexId> members,
+                         const std::vector<bool>& alive) {
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  // Members are sorted, so membership and member index both resolve with
+  // one binary search: nothing O(n) per cell.
+  KSYM_DCHECK(std::is_sorted(members.begin(), members.end()));
+  const auto index_of = [members](VertexId u) -> uint32_t {
+    const auto it = std::lower_bound(members.begin(), members.end(), u);
+    if (it == members.end() || *it != u) return kNone;
+    return static_cast<uint32_t>(it - members.begin());
+  };
+
+  CellComponents split;
+  std::vector<uint32_t> comp(members.size(), kNone);
+  std::vector<uint32_t> queue;
+  for (uint32_t start = 0; start < members.size(); ++start) {
+    if (comp[start] != kNone) continue;
+    const auto c = static_cast<uint32_t>(split.members.size());
+    split.members.emplace_back();
+    queue.assign(1, start);
+    comp[start] = c;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (VertexId u : graph.Neighbors(members[queue[head]])) {
+        const uint32_t j = index_of(u);
+        if (j != kNone && comp[j] == kNone) {
+          comp[j] = c;
+          queue.push_back(j);
+        }
+      }
+    }
+  }
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    split.members[comp[i]].push_back(members[i]);
+  }
+  if (split.members.size() <= 1) return split;
+
+  std::map<std::vector<VertexId>, uint32_t> signature_color;
+  split.colors.resize(split.members.size());
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    std::vector<VertexId> external;
+    for (VertexId u : graph.Neighbors(members[i])) {
+      if (partition.cell_of[u] != cell && (alive.empty() || alive[u])) {
+        external.push_back(u);
+      }
+    }
+    const auto [it, inserted] = signature_color.emplace(
+        std::move(external), static_cast<uint32_t>(signature_color.size()));
+    split.colors[comp[i]].push_back(it->second);
+  }
+  return split;
+}
+
 BackboneResult ComputeBackbone(const Graph& graph,
                                const VertexPartition& partition,
                                const ExecutionContext* context) {
@@ -44,10 +97,6 @@ BackboneResult ComputeBackbone(const Graph& graph,
   BackboneResult result;
   std::vector<bool> alive(n, true);
 
-  // Scratch reused across cells and sweeps: member index (flat, reset only
-  // at touched entries), BFS queue, and the subgraph extractor's remap.
-  std::vector<uint32_t> index_of(n, static_cast<uint32_t>(-1));
-  std::vector<uint32_t> queue;
   std::vector<VertexId> members;
   SubgraphExtractor extractor(graph);
 
@@ -59,73 +108,17 @@ BackboneResult ComputeBackbone(const Graph& graph,
       for (VertexId v : partition.cells[cell]) {
         if (alive[v]) members.push_back(v);
       }
-      if (members.size() <= 1) continue;
+      CellComponents split = SplitCell(graph, partition, cell, members, alive);
+      if (split.members.size() <= 1) continue;
 
-      // Index of each member within `members`.
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        index_of[members[i]] = i;
+      // Components in order of least member, which keeps the lowest-id —
+      // typically original — component as the representative.
+      std::vector<CellComponent> components(split.members.size());
+      for (size_t c = 0; c < components.size(); ++c) {
+        components[c].members = std::move(split.members[c]);
+        components[c].subgraph = extractor.Extract(components[c].members);
+        components[c].colors = std::move(split.colors[c]);
       }
-
-      // L(V) colours: one colour per distinct alive external neighbourhood.
-      std::map<std::vector<VertexId>, uint32_t> signature_color;
-      std::vector<uint32_t> color(members.size());
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        std::vector<VertexId> external;
-        for (VertexId u : graph.Neighbors(members[i])) {
-          if (alive[u] && partition.cell_of[u] != cell) external.push_back(u);
-        }
-        const auto [it, inserted] = signature_color.emplace(
-            std::move(external),
-            static_cast<uint32_t>(signature_color.size()));
-        color[i] = it->second;
-      }
-
-      // Connected components of the cell-induced subgraph (alive members).
-      std::vector<uint32_t> comp(members.size(), static_cast<uint32_t>(-1));
-      uint32_t num_comps = 0;
-      for (uint32_t start = 0; start < members.size(); ++start) {
-        if (comp[start] != static_cast<uint32_t>(-1)) continue;
-        const uint32_t c = num_comps++;
-        queue.clear();
-        queue.push_back(start);
-        comp[start] = c;
-        size_t head = 0;
-        while (head < queue.size()) {
-          const uint32_t i = queue[head++];
-          for (VertexId u : graph.Neighbors(members[i])) {
-            if (!alive[u] || partition.cell_of[u] != cell) continue;
-            const uint32_t j = index_of[u];
-            KSYM_DCHECK(j != static_cast<uint32_t>(-1));
-            if (comp[j] == static_cast<uint32_t>(-1)) {
-              comp[j] = c;
-              queue.push_back(j);
-            }
-          }
-        }
-      }
-      if (num_comps <= 1) {
-        for (VertexId v : members) index_of[v] = static_cast<uint32_t>(-1);
-        continue;
-      }
-
-      // Extract components (in order of minimum member, which keeps the
-      // lowest-id — typically original — component as the representative).
-      std::vector<CellComponent> components(num_comps);
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        components[comp[i]].members.push_back(members[i]);
-      }
-      for (CellComponent& component : components) {
-        component.subgraph = extractor.Extract(component.members);
-        component.colors.resize(component.members.size());
-        for (size_t i = 0; i < component.members.size(); ++i) {
-          component.colors[i] = color[index_of[component.members[i]]];
-        }
-      }
-      for (VertexId v : members) index_of[v] = static_cast<uint32_t>(-1);
-      std::sort(components.begin(), components.end(),
-                [](const CellComponent& a, const CellComponent& b) {
-                  return a.members.front() < b.members.front();
-                });
 
       // Keep one representative per colour-isomorphism class; remove the
       // rest (they are orbit-copies).

@@ -18,6 +18,7 @@
 #define KSYM_KSYM_BACKBONE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aut/orbits.h"
@@ -38,6 +39,23 @@ struct BackboneResult {
   /// Number of component-level reduction operations applied.
   size_t reduction_operations = 0;
 };
+
+/// One cell's induced subgraph split into connected components, with the
+/// L(V) colour of each member: one colour per distinct external
+/// neighbourhood, numbered in member order.
+struct CellComponents {
+  /// Per component, its sorted members; components by least member.
+  std::vector<std::vector<VertexId>> members;
+  /// colors[c][i] belongs to members[c][i]; empty when there is one
+  /// component.
+  std::vector<std::vector<uint32_t>> colors;
+};
+
+/// Splits the sorted `members` of partition cell `cell`. Vertices with
+/// alive[v] false are ignored as neighbours (empty `alive`: none is).
+CellComponents SplitCell(const Graph& graph, const VertexPartition& partition,
+                         uint32_t cell, std::span<const VertexId> members,
+                         const std::vector<bool>& alive);
 
 /// Computes the backbone of (graph, partition) on `context`'s execution
 /// policy (currently: the pass is timed into the context's

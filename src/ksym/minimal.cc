@@ -1,10 +1,8 @@
 #include "ksym/minimal.h"
 
-#include <algorithm>
-#include <map>
-
 #include "aut/isomorphism.h"
 #include "graph/algorithms.h"
+#include "ksym/backbone.h"
 
 namespace ksym {
 namespace {
@@ -16,76 +14,19 @@ std::vector<VertexId> MinimalCopyUnit(const Graph& graph,
                                       const VertexPartition& partition,
                                       uint32_t cell) {
   const std::vector<VertexId>& members = partition.cells[cell];
-  // Partition cells are sorted, so membership and member index both resolve
-  // with one binary search — no per-cell associative container.
-  KSYM_DCHECK(std::is_sorted(members.begin(), members.end()));
-  const auto index_of = [&members](VertexId u) -> uint32_t {
-    const auto it = std::lower_bound(members.begin(), members.end(), u);
-    if (it == members.end() || *it != u) return static_cast<uint32_t>(-1);
-    return static_cast<uint32_t>(it - members.begin());
-  };
+  const CellComponents split = SplitCell(graph, partition, cell, members, {});
+  if (split.members.size() <= 1) return members;
 
-  // Components of G[cell].
-  std::vector<uint32_t> comp(members.size(), static_cast<uint32_t>(-1));
-  uint32_t num_comps = 0;
-  std::vector<uint32_t> queue;
-  for (uint32_t start = 0; start < members.size(); ++start) {
-    if (comp[start] != static_cast<uint32_t>(-1)) continue;
-    const uint32_t c = num_comps++;
-    queue.clear();
-    queue.push_back(start);
-    comp[start] = c;
-    size_t head = 0;
-    while (head < queue.size()) {
-      const uint32_t i = queue[head++];
-      for (VertexId u : graph.Neighbors(members[i])) {
-        const uint32_t j = index_of(u);
-        if (j == static_cast<uint32_t>(-1)) continue;
-        if (comp[j] == static_cast<uint32_t>(-1)) {
-          comp[j] = c;
-          queue.push_back(j);
-        }
-      }
-    }
-  }
-  if (num_comps <= 1) return members;
-
-  // L(V) colours from external neighbourhoods.
-  std::map<std::vector<VertexId>, uint32_t> signature_color;
-  std::vector<uint32_t> color(members.size());
-  for (uint32_t i = 0; i < members.size(); ++i) {
-    std::vector<VertexId> external;
-    for (VertexId u : graph.Neighbors(members[i])) {
-      if (partition.cell_of[u] != cell) external.push_back(u);
-    }
-    const auto [it, inserted] = signature_color.emplace(
-        std::move(external), static_cast<uint32_t>(signature_color.size()));
-    color[i] = it->second;
-  }
-
-  std::vector<std::vector<VertexId>> comp_members(num_comps);
-  for (uint32_t i = 0; i < members.size(); ++i) {
-    comp_members[comp[i]].push_back(members[i]);
-  }
-  auto component_colors = [&](const std::vector<VertexId>& vertices) {
-    std::vector<uint32_t> colors;
-    colors.reserve(vertices.size());
-    for (VertexId v : vertices) colors.push_back(color[index_of(v)]);
-    return colors;
-  };
-
-  const Graph rep_graph = InducedSubgraph(graph, comp_members[0]);
-  const std::vector<uint32_t> rep_colors = component_colors(comp_members[0]);
-  for (uint32_t c = 1; c < num_comps; ++c) {
-    const Graph other = InducedSubgraph(graph, comp_members[c]);
-    if (!AreIsomorphic(rep_graph, other, rep_colors,
-                       component_colors(comp_members[c]))) {
+  const Graph rep_graph = InducedSubgraph(graph, split.members[0]);
+  for (size_t c = 1; c < split.members.size(); ++c) {
+    if (!AreIsomorphic(rep_graph, InducedSubgraph(graph, split.members[c]),
+                       split.colors[0], split.colors[c])) {
       // Not all components are mutual copies; copying one of them would
       // break symmetry between the others. Fall back to the whole cell.
       return members;
     }
   }
-  return comp_members[0];
+  return split.members[0];
 }
 
 }  // namespace

@@ -189,6 +189,10 @@ Result<Response> RunAnonymize(const AnonymizeRequest& request,
   if (request.k < 1) {
     return Status::InvalidArgument("--k must be at least 1");
   }
+  if (!(request.exclude_hubs >= 0.0 && request.exclude_hubs <= 1.0)) {
+    return Status::InvalidArgument(
+        "--exclude-hubs must be a fraction in [0, 1]");
+  }
   if (IsManifestFile(request.input)) {
     return RunAnonymizeSharded(request, cache);
   }

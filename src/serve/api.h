@@ -37,7 +37,7 @@ struct AnonymizeRequest {
   std::string input;
   std::string output;
   uint32_t k = 2;
-  double exclude_hubs = 0.0;
+  double exclude_hubs = 0.0;  // Fraction in [0, 1].
   bool minimal = false;
   bool tdv = false;
   bool binary = false;

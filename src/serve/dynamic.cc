@@ -1,5 +1,6 @@
 #include "serve/dynamic.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/parallel.h"
@@ -69,6 +70,9 @@ Result<Response> RunMutate(const MutateRequest& request, DynamicState* state,
                            GraphCache* cache) {
   if (request.session.empty()) {
     return Status::InvalidArgument("--session is required");
+  }
+  if (!std::isfinite(request.compact_ratio)) {
+    return Status::InvalidArgument("--compact-ratio must be finite");
   }
   Response response;
   Timer timer;
@@ -158,10 +162,11 @@ Result<Response> RunReanonymize(const ReanonymizeRequest& request,
   if (outcome.repaired) {
     response.report += StrFormat(
         "repair: %zu pool cells (%zu vertices), %zu seeds, "
-        "%llu splitters, %zu quotient merges\n",
+        "%llu splitters, %llu quotient splitters, %zu quotient merges\n",
         outcome.repair.pool_cells, outcome.repair.pool_vertices,
         outcome.repair.seed_cells,
         static_cast<unsigned long long>(outcome.repair.refine_splitters),
+        static_cast<unsigned long long>(outcome.repair.quotient_splitters),
         outcome.repair.quotient_merges);
   }
   const ReleaseTriple& release = *outcome.release;

@@ -50,7 +50,8 @@ struct MutateRequest {
   std::string input;          // Base graph path (creation only).
   std::string edits;          // ';'-separated add/del items; may be empty
                               // on the creating mutate.
-  double compact_ratio = 0.25;  // Creation only: overlay compact trigger.
+  double compact_ratio = 0.25;  // Creation only: overlay compact trigger;
+                                // must be finite.
 };
 
 struct CommitRequest {

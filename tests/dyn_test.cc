@@ -328,7 +328,11 @@ TEST(RepairTest, EditCanCoarsenTdvTriangle) {
   batch.Insert(0, 2);
   ASSERT_TRUE(delta.Apply(batch).ok());
   for (uint32_t threads : {1u, 2u}) {
-    ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads);
+    RepairStats stats;
+    ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads,
+                            &stats);
+    EXPECT_GT(stats.quotient_splitters, 0u);
+    EXPECT_GT(stats.quotient_merges, 0u);
   }
 }
 
@@ -345,7 +349,11 @@ TEST(RepairTest, EditCanCoarsenTdvCycle) {
   batch.Insert(0, 4);
   ASSERT_TRUE(delta.Apply(batch).ok());
   for (uint32_t threads : {1u, 2u}) {
-    ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads);
+    RepairStats stats;
+    ExpectRepairMatchesFull(delta, parent, batch.Endpoints(), threads,
+                            &stats);
+    EXPECT_GT(stats.quotient_splitters, 0u);
+    EXPECT_GT(stats.quotient_merges, 0u);
   }
 }
 
@@ -427,6 +435,18 @@ TEST(RepairTest, RandomBarabasiAlbertHubEditStreams) {
                       /*prefer_hub=*/true);
   RunRandomEditStream(BarabasiAlbert(48, 3, rng), 0xB2, 6, 4,
                       /*prefer_hub=*/true);
+  // A power-law tree of a few thousand vertices. Leaves of one vertex are
+  // twins, so they share every cell the repair builds, and their
+  // neighbour's quotient row carries a weight > 1.
+  Graph tree = BarabasiAlbert(3000, 1, rng);
+  bool has_twin_leaves = false;
+  for (VertexId v = 0; v < tree.NumVertices(); ++v) {
+    size_t leaves = 0;
+    for (VertexId w : tree.Neighbors(v)) leaves += tree.Degree(w) == 1;
+    has_twin_leaves |= leaves >= 2;
+  }
+  ASSERT_TRUE(has_twin_leaves);
+  RunRandomEditStream(std::move(tree), 0xB3, 4, 20, /*prefer_hub=*/true);
 }
 
 TEST(RepairTest, RepairVisitsStrictlyFewerSplitters) {

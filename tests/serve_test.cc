@@ -6,6 +6,7 @@
 // rejection, queued-deadline expiry, and server-side sample batching.
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "graph/io.h"
 #include "serve/api.h"
 #include "serve/cache.h"
+#include "serve/dynamic.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "serve_test_util.h"
@@ -371,6 +373,37 @@ TEST(ApiTest, ErrorsSurfaceAsStatuses) {
   EXPECT_FALSE(RunSample(sample).ok());
 }
 
+TEST(ApiTest, AnonymizeRejectsHubFractionsOutsideTheUnitInterval) {
+  AnonymizeRequest request;
+  request.input = WriteTestEdges("api_hubs.edges");
+  request.output = TempPath("api_hubs.ksym");
+  request.k = 2;
+  for (const double fraction :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e30, 1.5, -0.5}) {
+    request.exclude_hubs = fraction;
+    const auto response = RunAnonymize(request);
+    ASSERT_FALSE(response.ok()) << fraction;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  }
+  request.exclude_hubs = 1.0;
+  EXPECT_TRUE(RunAnonymize(request).ok());
+}
+
+TEST(ApiTest, MutateRejectsNonFiniteCompactRatio) {
+  DynamicState state(size_t{1} << 20);
+  MutateRequest request;
+  request.session = "s";
+  request.input = WriteTestEdges("api_compact.edges");
+  for (const double ratio : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    request.compact_ratio = ratio;
+    const auto response = RunMutate(request, &state);
+    ASSERT_FALSE(response.ok()) << ratio;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ApiTest, BatchedSamplingBitIdenticalToSolo) {
   const std::string release = WriteTestRelease("batch_rel");
 
@@ -578,6 +611,25 @@ TEST(ServerTest, BadLinesAnswerErrorsAndCountParseErrors) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.parse_errors, 3u);
   EXPECT_EQ(stats.failed, 1u);
+  server.Stop();
+}
+
+// The wire accepts any finite double; a hub fraction far outside [0, 1]
+// must come back as an error, not reach the degree-threshold arithmetic.
+TEST(ServerTest, HostileHubFractionAnswersAnError) {
+  Server server(BaseOptions("srv_hubs.sock"));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.options().socket_path);
+  ASSERT_TRUE(client.connected());
+  const auto response = ParseWireLine(client.RoundTrip(
+      "{\"op\":\"anonymize\",\"input\":\"" +
+      WriteTestEdges("srv_hubs.edges") + "\",\"output\":\"" +
+      TempPath("srv_hubs.ksym") + "\",\"k\":2,\"exclude_hubs\":1e30}"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->GetString("status"), "error");
+  EXPECT_NE(response->GetString("error").find("--exclude-hubs"),
+            std::string::npos)
+      << response->GetString("error");
   server.Stop();
 }
 
