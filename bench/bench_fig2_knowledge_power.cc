@@ -9,8 +9,8 @@
 // measures — motivating a knowledge-independent model.
 //
 // --threads N shards each measure's per-vertex key computation (the
-// dominant cost is the neighborhood measure's per-ego-net canonical forms)
-// without changing any printed statistic.
+// dominant cost is the neighborhood measure's per-ego-net refinement and
+// isomorphism tests) without changing any printed statistic.
 
 #include <cstdio>
 

@@ -1,10 +1,11 @@
 #include "attack/measures.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "attack/intern.h"
-#include "aut/canonical.h"
+#include "aut/isomorphism.h"
 #include "aut/refinement.h"
 #include "graph/algorithms.h"
 
@@ -76,61 +77,90 @@ StructuralMeasure CombinedMeasure(const ExecutionContext* context) {
 
 StructuralMeasure NeighborhoodMeasure(const ExecutionContext* context) {
   return {"neighborhood", [context](const Graph& graph) {
-            // Keys are flat uint64 streams so small (exact canonical form)
-            // and large (refinement trace) ego networks intern uniformly.
-            // Hub ego nets with thousands of vertices would make full
-            // canonical labelling needlessly expensive; the coloured
-            // refinement trace is isomorphism-invariant, so a collision can
-            // only *merge* classes — a conservative (weaker) adversary,
-            // never an inconsistent one.
+            // Ego networks up to this size are split exactly; larger (hub)
+            // ones keep their refinement-trace key, which is
+            // isomorphism-invariant, so a collision can only *merge*
+            // classes — a conservative (weaker) adversary, never an
+            // inconsistent one.
             constexpr size_t kExactLimit = 64;
-            // Each vertex's key is a pure function of its ego network,
-            // written to its own slot: the vertex range shards freely and
-            // the interning below sees the same key sequence for any thread
-            // count. Each shard carries its own extractor — pulling n ego
-            // networks through InducedSubgraph would pay an O(n) remap
-            // allocation each, an O(n^2) total; the extractor's scratch
-            // makes each pull O(ego size).
-            std::vector<std::vector<uint64_t>> keys(graph.NumVertices());
+            const size_t n = graph.NumVertices();
             ThreadPool* pool = context == nullptr ? nullptr : context->pool();
-            ParallelFor(
-                pool, graph.NumVertices(),
-                [&graph, &keys](size_t begin, size_t end, uint32_t) {
-                  SubgraphExtractor extractor(graph);
-                  std::vector<VertexId> ego;
-                  for (VertexId v = static_cast<VertexId>(begin); v < end;
-                       ++v) {
-                    ego.assign(1, v);
-                    const auto neighbors = graph.Neighbors(v);
-                    ego.insert(ego.end(), neighbors.begin(), neighbors.end());
-                    const Graph subgraph = extractor.Extract(ego);
-                    // Mark the centre (index 0 of `ego`) so the class is
-                    // rooted.
-                    std::vector<uint32_t> colors(ego.size(), 0);
-                    colors[0] = 1;
+            // Each shard carries its own extractor — pulling n ego networks
+            // through InducedSubgraph would pay an O(n) remap allocation
+            // each, an O(n^2) total; the extractor's scratch makes each pull
+            // O(ego size). The centre is ego vertex 0, coloured 1, so the
+            // class is rooted.
+            const auto ego_net = [&graph](SubgraphExtractor& extractor,
+                                          VertexId v) {
+              std::vector<VertexId> ego(1, v);
+              const auto neighbors = graph.Neighbors(v);
+              ego.insert(ego.end(), neighbors.begin(), neighbors.end());
+              return extractor.Extract(ego);
+            };
+            const auto centre_colors = [](const Graph& ego) {
+              std::vector<uint32_t> colors(ego.NumVertices(), 0);
+              colors[0] = 1;
+              return colors;
+            };
 
-                    std::vector<uint64_t> key;
-                    key.push_back(ego.size());
-                    key.push_back(subgraph.NumEdges());
-                    if (ego.size() <= kExactLimit) {
-                      const CanonicalForm form =
-                          ComputeCanonicalForm(subgraph, colors);
-                      for (const auto& [a, b] : form.edges) {
-                        key.push_back((uint64_t{a} << 32) | b);
-                      }
-                      for (uint32_t c : form.colors) {
-                        key.push_back(0x100000000ull | c);
-                      }
-                    } else {
-                      OrderedPartition partition(ego.size(), colors);
-                      Refiner refiner(subgraph);
-                      key.push_back(refiner.RefineAll(partition));
-                      key.push_back(partition.NumCells());
+            // Key: (size, edges, rooted refinement trace, cell count), a
+            // pure function of the ego network written to its own slot, so
+            // the vertex range shards freely.
+            std::vector<std::array<uint64_t, 4>> keys(n);
+            ParallelFor(pool, n, [&](size_t begin, size_t end, uint32_t) {
+              SubgraphExtractor extractor(graph);
+              for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
+                const Graph ego = ego_net(extractor, v);
+                OrderedPartition partition(ego.NumVertices(),
+                                           centre_colors(ego));
+                Refiner refiner(ego);
+                const uint64_t trace = refiner.RefineAll(partition);
+                keys[v] = {ego.NumVertices(), ego.NumEdges(), trace,
+                           partition.NumCells()};
+              }
+            });
+
+            // Bucket the vertices by key, each bucket in vertex order.
+            const std::vector<uint32_t> key_label =
+                InternLabels(std::move(keys));
+            std::vector<std::vector<VertexId>> buckets;
+            for (VertexId v = 0; v < n; ++v) {
+              if (key_label[v] == buckets.size()) buckets.emplace_back();
+              buckets[key_label[v]].push_back(v);
+            }
+
+            // rep[v]: the first vertex of v's class. A small ego net joins
+            // the first earlier representative of its bucket it is
+            // isomorphic to; buckets are independent, so they run in
+            // parallel and the result does not depend on the thread count.
+            std::vector<VertexId> rep(n);
+            ParallelFor(pool, buckets.size(), [&](size_t begin, size_t end,
+                                                  uint32_t) {
+              SubgraphExtractor extractor(graph);
+              std::vector<std::pair<VertexId, Graph>> reps;
+              for (size_t b = begin; b < end; ++b) {
+                const std::vector<VertexId>& bucket = buckets[b];
+                if (bucket.size() == 1 ||
+                    graph.Degree(bucket.front()) + 1 > kExactLimit) {
+                  for (VertexId v : bucket) rep[v] = bucket.front();
+                  continue;
+                }
+                reps.clear();
+                for (VertexId v : bucket) {
+                  Graph ego = ego_net(extractor, v);
+                  const std::vector<uint32_t> colors = centre_colors(ego);
+                  rep[v] = v;
+                  for (const auto& [r, r_ego] : reps) {
+                    if (AreIsomorphic(ego, r_ego, colors, colors)) {
+                      rep[v] = r;
+                      break;
                     }
-                    keys[v] = std::move(key);
                   }
-                });
-            return InternLabels(std::move(keys));
+                  if (rep[v] == v) reps.emplace_back(v, std::move(ego));
+                }
+              }
+            });
+            return InternLabels(std::move(rep));
           }};
 }
 

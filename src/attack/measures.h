@@ -54,9 +54,10 @@ StructuralMeasure CombinedMeasure(const ExecutionContext* context = nullptr);
 /// of the k-neighborhood anonymity model (Zhou & Pei, reference [19]).
 /// Refines deg(v) and tri(v) (both derivable from the ego network) but is
 /// incomparable with Deg(v), which sees neighbours' *outside* degrees.
-/// Ego networks up to 64 vertices are classified by exact canonical form;
-/// larger (hub) ego networks by their coloured refinement trace, which is
-/// isomorphism-invariant (collisions only make the adversary weaker).
+/// Ego networks up to 64 vertices are classified exactly, by AreIsomorphic
+/// within buckets of equal coloured refinement trace; larger (hub) ego
+/// networks by that trace alone, which is isomorphism-invariant
+/// (collisions only make the adversary weaker).
 StructuralMeasure NeighborhoodMeasure(const ExecutionContext* context = nullptr);
 
 /// The partition V_f induced by the equivalence u ~ v <=> f(u) = f(v).

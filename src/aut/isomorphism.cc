@@ -1,8 +1,9 @@
 #include "aut/isomorphism.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "aut/canonical.h"
+#include "aut/search.h"
 
 namespace ksym {
 namespace {
@@ -35,9 +36,34 @@ bool AreIsomorphic(const Graph& a, const Graph& b,
     return false;
   }
 
-  const CanonicalForm ca = ComputeCanonicalForm(a, colors_a);
-  const CanonicalForm cb = ComputeCanonicalForm(b, colors_b);
-  return ca == cb;
+  // (A + apex_a) ⊔ (B + apex_b): each apex is joined to its whole side and
+  // is the only vertex of colour 0, so an automorphism maps apex_a to
+  // apex_b exactly when it restricts to a colour-preserving A -> B
+  // isomorphism (DESIGN.md §7, "Isomorphism as an orbit question").
+  const VertexId n = static_cast<VertexId>(a.NumVertices());
+  const VertexId apex_a = n;
+  const VertexId apex_b = 2 * n + 1;
+  GraphBuilder builder(2 * n + 2);
+  std::vector<uint32_t> colors(2 * n + 2, 1);
+  colors[apex_a] = 0;
+  colors[apex_b] = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    builder.AddEdge(v, apex_a);
+    builder.AddEdge(apex_a + 1 + v, apex_b);
+    if (!colors_a.empty()) {
+      KSYM_CHECK(colors_a[v] < std::numeric_limits<uint32_t>::max());
+      KSYM_CHECK(colors_b[v] < std::numeric_limits<uint32_t>::max());
+      colors[v] = colors_a[v] + 1;
+      colors[apex_a + 1 + v] = colors_b[v] + 1;
+    }
+  }
+  a.ForEachEdge([&builder](VertexId u, VertexId v) { builder.AddEdge(u, v); });
+  b.ForEachEdge([&builder, apex_a](VertexId u, VertexId v) {
+    builder.AddEdge(apex_a + 1 + u, apex_a + 1 + v);
+  });
+  const std::vector<VertexId> orbit_rep =
+      ComputeOrbitRepresentatives(builder.Build(), colors, nullptr);
+  return orbit_rep[apex_a] == orbit_rep[apex_b];
 }
 
 }  // namespace ksym

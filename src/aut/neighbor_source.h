@@ -49,8 +49,8 @@ class NeighborSource {
 };
 
 /// The in-memory implementation: one resident CSR Graph. This is the path
-/// every in-memory Refiner user (automorphism search, canonical labelling,
-/// attack measures) takes: one plain loop over each splitter member's
+/// every in-memory Refiner user (automorphism search, attack measures)
+/// takes: one plain loop over each splitter member's
 /// sorted neighbor list.
 class CsrNeighborSource final : public NeighborSource {
  public:

@@ -75,8 +75,8 @@ VertexPartition VertexPartition::FromCells(
 VertexPartition ComputeAutomorphismPartition(const Graph& graph,
                                              const std::vector<uint32_t>& colors,
                                              const ExecutionContext* context) {
-  const AutomorphismResult aut = ComputeAutomorphisms(graph, colors, context);
-  return VertexPartition::FromRepresentatives(aut.orbit_rep);
+  return VertexPartition::FromRepresentatives(
+      ComputeOrbitRepresentatives(graph, colors, context));
 }
 
 VertexPartition ComputeTotalDegreePartition(const Graph& graph,

@@ -11,7 +11,7 @@
 // is a contiguous segment; a cell is named by its start position. All
 // processing orders (worklist order, affected-cell order, count order) are
 // isomorphism-invariant, which makes the refinement trace hash usable for
-// search-tree pruning and canonical labelling.
+// search-tree pruning and as an isomorphism-invariant key.
 //
 // The refiner follows the Hopcroft / Paige-Tarjan schedule that nauty and
 // Traces use (DESIGN.md §7): a split touches only the vertices with a

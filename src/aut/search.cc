@@ -343,17 +343,28 @@ TwinQuotient BuildTwinQuotient(const Graph& graph,
   return q;
 }
 
-// Lifts the search result on Q to G: each Q generator σ maps the i-th
-// member of class A to the i-th member of σ(A), the adjacent
-// transpositions of every class generate its symmetric group, and a
-// vertex's orbit is the union of the classes in its class's Q-orbit.
-AutomorphismResult LiftToGraph(const TwinQuotient& q,
-                               const AutomorphismResult& quotient) {
+// Lifts Q's orbits to G: a vertex's orbit is the union of the classes in
+// its class's Q-orbit. Classes are numbered by minimum member and Q's
+// orbit_rep is the minimum class, so its first member is the minimum of the
+// G-orbit.
+std::vector<VertexId> LiftOrbits(const TwinQuotient& q,
+                                 const std::vector<VertexId>& quotient_rep) {
+  std::vector<VertexId> orbit_rep(q.class_of.size());
+  for (VertexId v = 0; v < orbit_rep.size(); ++v) {
+    orbit_rep[v] = q.Members(quotient_rep[q.class_of[v]]).front();
+  }
+  return orbit_rep;
+}
+
+// Lifts Q's generators to G: each σ maps the i-th member of class A to the
+// i-th member of σ(A), and the adjacent transpositions of every class
+// generate its symmetric group.
+std::vector<Permutation> LiftGenerators(
+    const TwinQuotient& q, const std::vector<Permutation>& quotient_gens) {
   const size_t n = q.class_of.size();
   const uint32_t num_classes = static_cast<uint32_t>(q.offsets.size() - 1);
-  AutomorphismResult result;
-  result.nodes = quotient.nodes;
-  for (const Permutation& sigma : quotient.generators) {
+  std::vector<Permutation> generators;
+  for (const Permutation& sigma : quotient_gens) {
     std::vector<VertexId> images(n);
     for (uint32_t c = 0; c < num_classes; ++c) {
       const std::span<const VertexId> from = q.Members(c);
@@ -361,7 +372,7 @@ AutomorphismResult LiftToGraph(const TwinQuotient& q,
       KSYM_DCHECK(from.size() == to.size());
       for (size_t i = 0; i < from.size(); ++i) images[from[i]] = to[i];
     }
-    result.generators.emplace_back(std::move(images));
+    generators.emplace_back(std::move(images));
   }
   for (uint32_t c = 0; c < num_classes; ++c) {
     const std::span<const VertexId> members = q.Members(c);
@@ -369,17 +380,10 @@ AutomorphismResult LiftToGraph(const TwinQuotient& q,
       std::vector<VertexId> images(n);
       std::iota(images.begin(), images.end(), 0u);
       std::swap(images[members[i - 1]], images[members[i]]);
-      result.generators.emplace_back(std::move(images));
+      generators.emplace_back(std::move(images));
     }
   }
-  // Classes are numbered by minimum member and Q's orbit_rep is the
-  // minimum class, so its first member is the minimum of the G-orbit.
-  result.orbit_rep.resize(n);
-  for (VertexId v = 0; v < n; ++v) {
-    result.orbit_rep[v] =
-        q.Members(quotient.orbit_rep[q.class_of[v]]).front();
-  }
-  return result;
+  return generators;
 }
 
 }  // namespace
@@ -389,7 +393,21 @@ AutomorphismResult ComputeAutomorphisms(const Graph& graph,
                                         const ExecutionContext* context) {
   KSYM_CHECK(colors.empty() || colors.size() == graph.NumVertices());
   const TwinQuotient q = BuildTwinQuotient(graph, colors);
-  return LiftToGraph(q, AutSearcher(q.graph, q.colors, context).Run());
+  const AutomorphismResult quotient =
+      AutSearcher(q.graph, q.colors, context).Run();
+  AutomorphismResult result;
+  result.generators = LiftGenerators(q, quotient.generators);
+  result.orbit_rep = LiftOrbits(q, quotient.orbit_rep);
+  result.nodes = quotient.nodes;
+  return result;
+}
+
+std::vector<VertexId> ComputeOrbitRepresentatives(
+    const Graph& graph, const std::vector<uint32_t>& colors,
+    const ExecutionContext* context) {
+  KSYM_CHECK(colors.empty() || colors.size() == graph.NumVertices());
+  const TwinQuotient q = BuildTwinQuotient(graph, colors);
+  return LiftOrbits(q, AutSearcher(q.graph, q.colors, context).Run().orbit_rep);
 }
 
 }  // namespace ksym

@@ -63,6 +63,13 @@ AutomorphismResult ComputeAutomorphisms(const Graph& graph,
                                         const std::vector<uint32_t>& colors,
                                         const ExecutionContext* context);
 
+/// ComputeAutomorphisms(...).orbit_rep without lifting the generators to G:
+/// the answer to every orbit question, at the cost of the quotient search
+/// alone (no n-entry permutation per generator or twin transposition).
+std::vector<VertexId> ComputeOrbitRepresentatives(
+    const Graph& graph, const std::vector<uint32_t>& colors,
+    const ExecutionContext* context);
+
 }  // namespace ksym
 
 #endif  // KSYM_AUT_SEARCH_H_

@@ -7,70 +7,15 @@ namespace dyn {
 
 namespace {
 
-size_t ApproxPartitionBytes(const VertexPartition& partition) {
-  const size_t n = partition.cell_of.size();
-  return n * sizeof(uint32_t) + n * sizeof(VertexId) +
-         partition.cells.size() * sizeof(std::vector<VertexId>);
-}
-
 size_t ApproxPlanBytes(const CachedPlan& plan) {
   return sizeof(CachedPlan) + ApproxPartitionBytes(plan.tdv);
 }
 
-size_t ApproxReleaseBytes(const ReleaseTriple& release) {
-  const size_t n = release.graph.NumVertices();
-  const size_t entries = release.graph.NumEdges() * 2;
-  return (n + 1) * sizeof(EdgeIndex) + entries * sizeof(VertexId) +
-         ApproxPartitionBytes(release.partition);
-}
-
 }  // namespace
-
-std::shared_ptr<void> PlanCache::Lookup(const Key& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
-      ++stats_.hits;
-      return it->value;
-    }
-  }
-  ++stats_.misses;
-  return nullptr;
-}
-
-std::shared_ptr<void> PlanCache::Insert(const Key& key, size_t bytes,
-                                        std::shared_ptr<void> value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // A racing computation may have inserted the same key while we were off
-  // the lock; keep the incumbent so both callers share one artifact.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
-      return it->value;
-    }
-  }
-  lru_.push_front(Entry{key, bytes, std::move(value)});
-  stats_.resident_bytes += bytes;
-  ++stats_.entries;
-  // Evict past the cap, never the entry just inserted. Pinned holders keep
-  // evicted artifacts alive; eviction only releases budget.
-  while (stats_.resident_bytes > max_bytes_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    stats_.resident_bytes -= victim.bytes;
-    --stats_.entries;
-    ++stats_.evictions;
-    lru_.pop_back();
-  }
-  if (stats_.resident_bytes > stats_.peak_resident_bytes) {
-    stats_.peak_resident_bytes = stats_.resident_bytes;
-  }
-  return lru_.front().value;
-}
 
 std::shared_ptr<const CachedPlan> PlanCache::GetPlan(uint64_t graph_checksum) {
   return std::static_pointer_cast<const CachedPlan>(
-      Lookup(Key{'p', graph_checksum, 0}));
+      lru_.Lookup(CacheKey{'p', graph_checksum, 0}));
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::PutPlan(uint64_t graph_checksum,
@@ -78,13 +23,13 @@ std::shared_ptr<const CachedPlan> PlanCache::PutPlan(uint64_t graph_checksum,
   const size_t bytes = ApproxPlanBytes(plan);
   auto value = std::make_shared<CachedPlan>(std::move(plan));
   return std::static_pointer_cast<const CachedPlan>(
-      Insert(Key{'p', graph_checksum, 0}, bytes, std::move(value)));
+      lru_.Insert(CacheKey{'p', graph_checksum, 0}, bytes, std::move(value)));
 }
 
 std::shared_ptr<const ReleaseTriple> PlanCache::GetRelease(
     uint64_t graph_checksum, uint32_t k) {
   return std::static_pointer_cast<const ReleaseTriple>(
-      Lookup(Key{'r', graph_checksum, k}));
+      lru_.Lookup(CacheKey{'r', graph_checksum, k}));
 }
 
 std::shared_ptr<const ReleaseTriple> PlanCache::PutRelease(
@@ -92,12 +37,7 @@ std::shared_ptr<const ReleaseTriple> PlanCache::PutRelease(
   const size_t bytes = ApproxReleaseBytes(release);
   auto value = std::make_shared<ReleaseTriple>(std::move(release));
   return std::static_pointer_cast<const ReleaseTriple>(
-      Insert(Key{'r', graph_checksum, k}, bytes, std::move(value)));
-}
-
-PlanCacheStats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+      lru_.Insert(CacheKey{'r', graph_checksum, k}, bytes, std::move(value)));
 }
 
 }  // namespace dyn

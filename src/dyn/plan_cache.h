@@ -19,19 +19,18 @@
 // Keying by content checksum follows the GraphCache discipline: two
 // sessions (or a compaction) reaching the same logical graph share
 // entries, and any mutation is a new key, never a stale hit. Same LRU
-// shape too: byte-budget eviction, shared_ptr pinning (eviction only
-// drops the cache's reference), the just-inserted entry always admitted,
-// racing inserts keep the incumbent.
+// too: both caches sit on common/lru_cache.h (byte-budget eviction,
+// shared_ptr pinning, the just-inserted entry always admitted, racing
+// inserts keep the incumbent).
 
 #ifndef KSYM_DYN_PLAN_CACHE_H_
 #define KSYM_DYN_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 
 #include "aut/orbits.h"
+#include "common/lru_cache.h"
 #include "ksym/release_io.h"
 
 namespace ksym {
@@ -48,18 +47,9 @@ struct CachedPlan {
   uint64_t trace_hash = 0;
 };
 
-struct PlanCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  size_t resident_bytes = 0;
-  size_t peak_resident_bytes = 0;
-  size_t entries = 0;
-};
-
 class PlanCache {
  public:
-  explicit PlanCache(size_t max_bytes) : max_bytes_(max_bytes) {}
+  explicit PlanCache(size_t max_bytes) : lru_(max_bytes) {}
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -80,35 +70,11 @@ class PlanCache {
                                                   uint32_t k,
                                                   ReleaseTriple release);
 
-  PlanCacheStats stats() const;
-  size_t max_bytes() const { return max_bytes_; }
+  CacheStats stats() const { return lru_.stats(); }
+  size_t max_bytes() const { return lru_.max_bytes(); }
 
  private:
-  struct Key {
-    char kind = 0;        // 'p' plan, 'r' release.
-    uint64_t checksum = 0;
-    uint64_t param = 0;   // k for releases, 0 for plans.
-
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.kind == b.kind && a.checksum == b.checksum &&
-             a.param == b.param;
-    }
-  };
-
-  struct Entry {
-    Key key;
-    size_t bytes = 0;
-    std::shared_ptr<void> value;
-  };
-
-  std::shared_ptr<void> Lookup(const Key& key);
-  std::shared_ptr<void> Insert(const Key& key, size_t bytes,
-                               std::shared_ptr<void> value);
-
-  mutable std::mutex mu_;
-  size_t max_bytes_;
-  PlanCacheStats stats_;
-  std::list<Entry> lru_;  // Front = most recently used.
+  LruCache lru_;  // Keys: 'p' plans, 'r' releases (param = k).
 };
 
 }  // namespace dyn

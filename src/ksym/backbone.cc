@@ -2,37 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 #include <utility>
 
-#include "aut/isomorphism.h"
+#include "aut/search.h"
 #include "graph/algorithms.h"
 
 namespace ksym {
-namespace {
-
-// One connected component of a cell-induced subgraph, extracted with its
-// L(V) colours (colour = id of the member's external neighbourhood).
-struct CellComponent {
-  std::vector<VertexId> members;  // Sorted original vertex ids.
-  Graph subgraph;                 // Induced on `members`.
-  std::vector<uint32_t> colors;   // External-neighbourhood colour per member.
-
-  // Cheap isomorphism-invariant grouping key.
-  using Key = std::tuple<size_t, size_t, std::vector<std::pair<uint32_t, uint32_t>>>;
-  Key InvariantKey() const {
-    std::vector<std::pair<uint32_t, uint32_t>> profile;
-    profile.reserve(members.size());
-    for (VertexId i = 0; i < subgraph.NumVertices(); ++i) {
-      profile.emplace_back(colors[i],
-                           static_cast<uint32_t>(subgraph.Degree(i)));
-    }
-    std::sort(profile.begin(), profile.end());
-    return {subgraph.NumVertices(), subgraph.NumEdges(), std::move(profile)};
-  }
-};
-
-}  // namespace
 
 CellComponents SplitCell(const Graph& graph, const VertexPartition& partition,
                          uint32_t cell, std::span<const VertexId> members,
@@ -69,20 +44,42 @@ CellComponents SplitCell(const Graph& graph, const VertexPartition& partition,
   for (uint32_t i = 0; i < members.size(); ++i) {
     split.members[comp[i]].push_back(members[i]);
   }
-  if (split.members.size() <= 1) return split;
+  const auto num_components = static_cast<uint32_t>(split.members.size());
+  if (num_components <= 1) return split;
 
+  // G[members] on member indices, coloured by L(V).
+  GraphBuilder builder(members.size());
   std::map<std::vector<VertexId>, uint32_t> signature_color;
-  split.colors.resize(split.members.size());
+  std::vector<uint32_t> colors(members.size());
   for (uint32_t i = 0; i < members.size(); ++i) {
     std::vector<VertexId> external;
     for (VertexId u : graph.Neighbors(members[i])) {
-      if (partition.cell_of[u] != cell && (alive.empty() || alive[u])) {
+      const uint32_t j = index_of(u);
+      if (j != kNone) {
+        if (i < j) builder.AddEdge(i, j);
+      } else if (partition.cell_of[u] != cell && (alive.empty() || alive[u])) {
         external.push_back(u);
       }
     }
     const auto [it, inserted] = signature_color.emplace(
         std::move(external), static_cast<uint32_t>(signature_color.size()));
-    split.colors[comp[i]].push_back(it->second);
+    colors[i] = it->second;
+  }
+
+  // An automorphism of the coloured G[members] maps each component onto a
+  // component, so two components are L(V)-copies iff some orbit meets
+  // both — iff their least orbit representatives are equal.
+  const std::vector<VertexId> orbit_rep =
+      ComputeOrbitRepresentatives(builder.Build(), colors, nullptr);
+  std::vector<uint32_t> least(num_components, kNone);
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    least[comp[i]] = std::min(least[comp[i]], orbit_rep[i]);
+  }
+  std::vector<uint32_t> first_with(members.size(), kNone);
+  split.copy_of.resize(num_components);
+  for (uint32_t c = 0; c < num_components; ++c) {
+    if (first_with[least[c]] == kNone) first_with[least[c]] = c;
+    split.copy_of[c] = first_with[least[c]];
   }
   return split;
 }
@@ -98,7 +95,6 @@ BackboneResult ComputeBackbone(const Graph& graph,
   std::vector<bool> alive(n, true);
 
   std::vector<VertexId> members;
-  SubgraphExtractor extractor(graph);
 
   bool changed = true;
   while (changed) {
@@ -108,39 +104,16 @@ BackboneResult ComputeBackbone(const Graph& graph,
       for (VertexId v : partition.cells[cell]) {
         if (alive[v]) members.push_back(v);
       }
-      CellComponents split = SplitCell(graph, partition, cell, members, alive);
-      if (split.members.size() <= 1) continue;
-
-      // Components in order of least member, which keeps the lowest-id —
-      // typically original — component as the representative.
-      std::vector<CellComponent> components(split.members.size());
-      for (size_t c = 0; c < components.size(); ++c) {
-        components[c].members = std::move(split.members[c]);
-        components[c].subgraph = extractor.Extract(components[c].members);
-        components[c].colors = std::move(split.colors[c]);
-      }
-
-      // Keep one representative per colour-isomorphism class; remove the
-      // rest (they are orbit-copies).
-      std::map<CellComponent::Key, std::vector<const CellComponent*>> reps;
-      for (const CellComponent& component : components) {
-        auto& bucket = reps[component.InvariantKey()];
-        bool is_copy = false;
-        for (const CellComponent* rep : bucket) {
-          if (AreIsomorphic(component.subgraph, rep->subgraph,
-                            component.colors, rep->colors)) {
-            is_copy = true;
-            break;
-          }
-        }
-        if (is_copy) {
-          for (VertexId v : component.members) alive[v] = false;
-          result.removed_vertices += component.members.size();
-          ++result.reduction_operations;
-          changed = true;
-        } else {
-          bucket.push_back(&component);
-        }
+      const CellComponents split =
+          SplitCell(graph, partition, cell, members, alive);
+      // Keep the least component of each copy class — typically the
+      // original — and remove the rest (they are orbit-copies).
+      for (uint32_t c = 0; c < split.copy_of.size(); ++c) {
+        if (split.copy_of[c] == c) continue;
+        for (VertexId v : split.members[c]) alive[v] = false;
+        result.removed_vertices += split.members[c].size();
+        ++result.reduction_operations;
+        changed = true;
       }
     }
   }
@@ -149,7 +122,7 @@ BackboneResult ComputeBackbone(const Graph& graph,
   for (VertexId v = 0; v < n; ++v) {
     if (alive[v]) result.kept.push_back(v);
   }
-  result.graph = extractor.Extract(result.kept);
+  result.graph = InducedSubgraph(graph, result.kept);
   std::vector<VertexId> to_new(n, kInvalidVertex);
   for (size_t i = 0; i < result.kept.size(); ++i) {
     to_new[result.kept[i]] = static_cast<VertexId>(i);

@@ -7,8 +7,10 @@
 // component that is isomorphic to another *under the L(V) constraint*
 // (matched vertices must share the same neighbourhood outside V — Section
 // 4.2.2) is an orbit-copy and is removed. We encode the L(V) constraint as
-// vertex colours (one colour per distinct external neighbourhood) and use
-// colour-preserving isomorphism.
+// vertex colours (one colour per distinct external neighbourhood) and ask
+// one orbit question per cell: the automorphisms of the coloured G[V] map
+// components onto components, so two components are copies iff they share
+// an orbit (DESIGN.md §7, "Isomorphism as an orbit question").
 //
 // The pass repeats until no component can be removed, which on graphs
 // actually produced by orbit copying reaches the unique least element
@@ -40,19 +42,20 @@ struct BackboneResult {
   size_t reduction_operations = 0;
 };
 
-/// One cell's induced subgraph split into connected components, with the
-/// L(V) colour of each member: one colour per distinct external
-/// neighbourhood, numbered in member order.
+/// One cell's induced subgraph split into connected components, grouped
+/// into L(V)-copy classes.
 struct CellComponents {
   /// Per component, its sorted members; components by least member.
   std::vector<std::vector<VertexId>> members;
-  /// colors[c][i] belongs to members[c][i]; empty when there is one
-  /// component.
-  std::vector<std::vector<uint32_t>> colors;
+  /// copy_of[c]: the least component that component c is an L(V)-copy of
+  /// (c itself when no earlier one is); empty when there is one component.
+  std::vector<uint32_t> copy_of;
 };
 
-/// Splits the sorted `members` of partition cell `cell`. Vertices with
-/// alive[v] false are ignored as neighbours (empty `alive`: none is).
+/// Splits the sorted `members` of partition cell `cell` and classifies the
+/// components by one orbit partition of G[members] coloured by L(V) (one
+/// colour per distinct external neighbourhood). Vertices with alive[v]
+/// false are ignored as neighbours (empty `alive`: none is).
 CellComponents SplitCell(const Graph& graph, const VertexPartition& partition,
                          uint32_t cell, std::span<const VertexId> members,
                          const std::vector<bool>& alive);

@@ -1,7 +1,5 @@
 #include "ksym/minimal.h"
 
-#include "aut/isomorphism.h"
-#include "graph/algorithms.h"
 #include "ksym/backbone.h"
 
 namespace ksym {
@@ -17,14 +15,10 @@ std::vector<VertexId> MinimalCopyUnit(const Graph& graph,
   const CellComponents split = SplitCell(graph, partition, cell, members, {});
   if (split.members.size() <= 1) return members;
 
-  const Graph rep_graph = InducedSubgraph(graph, split.members[0]);
-  for (size_t c = 1; c < split.members.size(); ++c) {
-    if (!AreIsomorphic(rep_graph, InducedSubgraph(graph, split.members[c]),
-                       split.colors[0], split.colors[c])) {
-      // Not all components are mutual copies; copying one of them would
-      // break symmetry between the others. Fall back to the whole cell.
-      return members;
-    }
+  for (uint32_t copy_of : split.copy_of) {
+    // Not all components are mutual copies; copying one of them would
+    // break symmetry between the others. Fall back to the whole cell.
+    if (copy_of != 0) return members;
   }
   return split.members[0];
 }

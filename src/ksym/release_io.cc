@@ -39,6 +39,19 @@ Status WriteReleaseFile(const ReleaseTriple& release,
   return WriteRelease(release, out);
 }
 
+size_t ApproxPartitionBytes(const VertexPartition& partition) {
+  const size_t n = partition.cell_of.size();
+  return n * sizeof(uint32_t) + n * sizeof(VertexId) +
+         partition.cells.size() * sizeof(std::vector<VertexId>);
+}
+
+size_t ApproxReleaseBytes(const ReleaseTriple& release) {
+  const size_t n = release.graph.NumVertices();
+  const size_t entries = release.graph.NumEdges() * 2;
+  return (n + 1) * sizeof(EdgeIndex) + entries * sizeof(VertexId) +
+         ApproxPartitionBytes(release.partition);
+}
+
 Result<ReleaseTriple> ReadRelease(std::istream& in) {
   ReleaseTriple release;
   bool have_header = false;

@@ -36,6 +36,15 @@ struct ReleaseTriple {
 /// Extracts the release triple from an anonymization result.
 ReleaseTriple MakeReleaseTriple(const AnonymizationResult& result);
 
+/// Approximate heap footprint of a partition: cell_of plus the cells'
+/// vertex lists, which together hold 2n entries.
+size_t ApproxPartitionBytes(const VertexPartition& partition);
+
+/// Approximate heap footprint of a materialized release triple: the CSR
+/// arrays plus the partition. The daemon caches charge it to their byte
+/// budgets.
+size_t ApproxReleaseBytes(const ReleaseTriple& release);
+
 Status WriteRelease(const ReleaseTriple& release, std::ostream& out);
 Status WriteReleaseFile(const ReleaseTriple& release, const std::string& path);
 

@@ -10,17 +10,6 @@ namespace ksym {
 namespace serve {
 namespace {
 
-/// Approximate heap footprint of a materialized release triple: the CSR
-/// arrays plus the partition (cell_of + the cells' vertex lists, which
-/// together hold 2n entries).
-size_t ApproxReleaseBytes(const ReleaseTriple& release) {
-  const size_t n = release.graph.NumVertices();
-  const size_t entries = release.graph.NumEdges() * 2;
-  return (n + 1) * sizeof(EdgeIndex) + entries * sizeof(VertexId) +
-         n * sizeof(uint32_t) + n * sizeof(VertexId) +
-         release.partition.cells.size() * sizeof(std::vector<VertexId>);
-}
-
 /// Content checksum of the manifest file — the shard-set cache key. Reads
 /// the whole manifest (small: one line per shard), never the shards.
 Result<uint64_t> ManifestChecksum(const std::string& path) {
@@ -37,53 +26,11 @@ Result<uint64_t> ManifestChecksum(const std::string& path) {
 
 }  // namespace
 
-std::shared_ptr<void> GraphCache::Lookup(const Key& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
-      ++stats_.hits;
-      return it->value;
-    }
-  }
-  ++stats_.misses;
-  return nullptr;
-}
-
-std::shared_ptr<void> GraphCache::Insert(const Key& key, size_t bytes,
-                                         std::shared_ptr<void> value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // A racing request may have loaded the same key while we were off the
-  // lock; keep the incumbent so both callers share one mapping.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->key == key) {
-      lru_.splice(lru_.begin(), lru_, it);
-      return it->value;
-    }
-  }
-  lru_.push_front(Entry{key, bytes, std::move(value)});
-  stats_.resident_bytes += bytes;
-  ++stats_.entries;
-  // Evict past the cap, never the entry just inserted. Dropping the cache's
-  // reference is all eviction does — pinned holders keep the data alive.
-  while (stats_.resident_bytes > max_bytes_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    stats_.resident_bytes -= victim.bytes;
-    --stats_.entries;
-    ++stats_.evictions;
-    lru_.pop_back();
-  }
-  if (stats_.resident_bytes > stats_.peak_resident_bytes) {
-    stats_.peak_resident_bytes = stats_.resident_bytes;
-  }
-  return lru_.front().value;
-}
-
 Result<std::shared_ptr<const MappedCsrGraph>> GraphCache::GetGraph(
     const std::string& path, bool* hit) {
   KSYM_ASSIGN_OR_RETURN(const CsrFileInfo info, ReadCsrFileInfo(path));
-  const Key key{'g', info.header_checksum};
-  if (std::shared_ptr<void> found = Lookup(key)) {
+  const CacheKey key{'g', info.header_checksum};
+  if (std::shared_ptr<void> found = lru_.Lookup(key)) {
     if (hit != nullptr) *hit = true;
     return std::static_pointer_cast<const MappedCsrGraph>(found);
   }
@@ -92,14 +39,14 @@ Result<std::shared_ptr<const MappedCsrGraph>> GraphCache::GetGraph(
   const size_t bytes = mapped.mapping.size();
   auto value = std::make_shared<MappedCsrGraph>(std::move(mapped));
   return std::static_pointer_cast<const MappedCsrGraph>(
-      Insert(key, bytes, std::move(value)));
+      lru_.Insert(key, bytes, std::move(value)));
 }
 
 Result<std::shared_ptr<const ReleaseTriple>> GraphCache::GetRelease(
     const std::string& path, bool* hit) {
   KSYM_ASSIGN_OR_RETURN(const CsrFileInfo info, ReadCsrFileInfo(path));
-  const Key key{'r', info.header_checksum};
-  if (std::shared_ptr<void> found = Lookup(key)) {
+  const CacheKey key{'r', info.header_checksum};
+  if (std::shared_ptr<void> found = lru_.Lookup(key)) {
     if (hit != nullptr) *hit = true;
     return std::static_pointer_cast<const ReleaseTriple>(found);
   }
@@ -108,7 +55,7 @@ Result<std::shared_ptr<const ReleaseTriple>> GraphCache::GetRelease(
   const size_t bytes = ApproxReleaseBytes(release);
   auto value = std::make_shared<ReleaseTriple>(std::move(release));
   return std::static_pointer_cast<const ReleaseTriple>(
-      Insert(key, bytes, std::move(value)));
+      lru_.Insert(key, bytes, std::move(value)));
 }
 
 Result<std::shared_ptr<CachedShardSet>> GraphCache::GetShardSet(
@@ -116,8 +63,8 @@ Result<std::shared_ptr<CachedShardSet>> GraphCache::GetShardSet(
     bool* hit) {
   KSYM_ASSIGN_OR_RETURN(const uint64_t checksum,
                         ManifestChecksum(manifest_path));
-  const Key key{'s', checksum};
-  if (std::shared_ptr<void> found = Lookup(key)) {
+  const CacheKey key{'s', checksum};
+  if (std::shared_ptr<void> found = lru_.Lookup(key)) {
     if (hit != nullptr) *hit = true;
     return std::static_pointer_cast<CachedShardSet>(found);
   }
@@ -128,17 +75,7 @@ Result<std::shared_ptr<CachedShardSet>> GraphCache::GetShardSet(
   const size_t bytes = options.max_resident_bytes;
   auto value = std::make_shared<CachedShardSet>(std::move(graph));
   return std::static_pointer_cast<CachedShardSet>(
-      Insert(key, bytes, std::move(value)));
-}
-
-void GraphCache::RecordBypass() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.bypasses;
-}
-
-CacheStats GraphCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+      lru_.Insert(key, bytes, std::move(value)));
 }
 
 }  // namespace serve

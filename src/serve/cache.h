@@ -5,13 +5,9 @@
 // cache key is the file's *header checksum* (read in O(1) via
 // ReadCsrFileInfo), not its path: two paths to the same bytes share one
 // entry, and an overwritten file is a new key, never a stale hit. Entries
-// are LRU-evicted past `max_bytes`.
-//
-// Residency vs. lifetime follows the ShardedGraph convention: lookups hand
-// out shared_ptr pins, eviction only drops the cache's own reference, so an
-// in-flight request can never have its mapping unmapped underneath it —
-// eviction just releases budget. The entry being inserted is always
-// admitted, even when it alone exceeds the cap (progress beats the budget).
+// live in the byte-budget LRU of common/lru_cache.h: lookups hand out
+// shared_ptr pins, so an in-flight request can never have its mapping
+// unmapped underneath it — eviction just releases budget.
 //
 // Three entry kinds, disjoint key spaces:
 //   * whole graphs   (MapCsrFile — zero-copy, bytes = file size)
@@ -28,11 +24,11 @@
 #define KSYM_SERVE_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "common/lru_cache.h"
 #include "common/status.h"
 #include "graph/io.h"
 #include "ksym/release_io.h"
@@ -40,16 +36,6 @@
 
 namespace ksym {
 namespace serve {
-
-struct CacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;       // Lookups that had to load from disk.
-  uint64_t evictions = 0;
-  uint64_t bypasses = 0;     // Uncacheable (text) inputs loaded around us.
-  size_t resident_bytes = 0;
-  size_t peak_resident_bytes = 0;
-  size_t entries = 0;
-};
 
 /// A cached shard set. ShardedGraph is single-threaded (its residency LRU
 /// mutates on every access), so concurrent requests on the same manifest
@@ -63,7 +49,7 @@ struct CachedShardSet {
 
 class GraphCache {
  public:
-  explicit GraphCache(size_t max_bytes) : max_bytes_(max_bytes) {}
+  explicit GraphCache(size_t max_bytes) : lru_(max_bytes) {}
 
   GraphCache(const GraphCache&) = delete;
   GraphCache& operator=(const GraphCache&) = delete;
@@ -86,40 +72,15 @@ class GraphCache {
       bool* hit = nullptr);
 
   /// Counts an uncacheable (text) load in the stats.
-  void RecordBypass();
+  void RecordBypass() { lru_.RecordBypass(); }
 
-  CacheStats stats() const;
-  size_t max_bytes() const { return max_bytes_; }
+  /// misses: lookups that had to load from disk; bypasses: uncacheable
+  /// (text) inputs loaded around the cache.
+  CacheStats stats() const { return lru_.stats(); }
+  size_t max_bytes() const { return lru_.max_bytes(); }
 
  private:
-  struct Key {
-    char kind = 0;  // 'g' graph, 'r' release, 's' shard set.
-    uint64_t checksum = 0;
-
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.kind == b.kind && a.checksum == b.checksum;
-    }
-  };
-
-  struct Entry {
-    Key key;
-    size_t bytes = 0;
-    std::shared_ptr<void> value;
-  };
-
-  /// Returns the entry's value if resident (moves it to the LRU front),
-  /// else nullptr.
-  std::shared_ptr<void> Lookup(const Key& key);
-
-  /// Inserts (or re-finds, if a racing loader beat us) and evicts past the
-  /// cap. Returns the value to use.
-  std::shared_ptr<void> Insert(const Key& key, size_t bytes,
-                               std::shared_ptr<void> value);
-
-  mutable std::mutex mu_;
-  size_t max_bytes_;
-  CacheStats stats_;
-  std::list<Entry> lru_;  // Front = most recently used.
+  LruCache lru_;  // Keys: 'g' graphs, 'r' releases, 's' shard sets.
 };
 
 }  // namespace serve

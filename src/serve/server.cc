@@ -566,7 +566,7 @@ std::string Server::StatsReport() const {
   line("graph_cache_peak_resident_bytes", cache.peak_resident_bytes);
   line("graph_cache_entries", cache.entries);
   line("graph_cache_max_bytes", cache_->max_bytes());
-  const dyn::PlanCacheStats plan = dynamic_->registry.plan_cache().stats();
+  const CacheStats plan = dynamic_->registry.plan_cache().stats();
   line("plan_cache_hits", plan.hits);
   line("plan_cache_misses", plan.misses);
   line("plan_cache_evictions", plan.evictions);

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "attack/measures.h"
 #include "attack/reidentification.h"
+#include "datasets/datasets.h"
 #include "graph/generators.h"
 #include "ksym/anonymizer.h"
 
@@ -102,6 +106,122 @@ TEST(MeasuresTest, NeighborhoodDistinguishesLocalStructure) {
   const VertexPartition by_nbh = PartitionByMeasure(g, NeighborhoodMeasure());
   EXPECT_EQ(by_deg.cell_of[0], by_deg.cell_of[4]);  // Both degree 2.
   EXPECT_NE(by_nbh.cell_of[0], by_nbh.cell_of[4]);
+}
+
+// Reference for the neighbourhood measure: u and v share a class iff some
+// bijection N(u) -> N(v) preserves adjacency among the neighbours (the
+// centres map to each other), tried exhaustively. Each vertex joins the
+// class of the first earlier vertex it matches.
+VertexPartition BruteForceNeighborhoodPartition(const Graph& g) {
+  const auto rooted_isomorphic = [&g](VertexId u, VertexId v) {
+    const auto nu = g.Neighbors(u);
+    const auto nv = g.Neighbors(v);
+    if (nu.size() != nv.size()) return false;
+    std::vector<size_t> image(nu.size());
+    std::iota(image.begin(), image.end(), size_t{0});
+    do {
+      bool ok = true;
+      for (size_t i = 0; i < nu.size() && ok; ++i) {
+        for (size_t j = i + 1; j < nu.size() && ok; ++j) {
+          ok = g.HasEdge(nu[i], nu[j]) == g.HasEdge(nv[image[i]], nv[image[j]]);
+        }
+      }
+      if (ok) return true;
+    } while (std::next_permutation(image.begin(), image.end()));
+    return false;
+  };
+  std::vector<VertexId> rep(g.NumVertices());
+  std::vector<VertexId> reps;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    rep[v] = v;
+    for (VertexId r : reps) {
+      if (rooted_isomorphic(v, r)) {
+        rep[v] = r;
+        break;
+      }
+    }
+    if (rep[v] == v) reps.push_back(v);
+  }
+  return VertexPartition::FromRepresentatives(rep);
+}
+
+// A random graph with every degree at most `max_degree`.
+Graph BoundedDegreeGraph(size_t n, size_t tries, size_t max_degree,
+                         Rng& rng) {
+  std::vector<size_t> degree(n, 0);
+  std::vector<bool> adjacent(n * n, false);
+  GraphBuilder b(n);
+  for (size_t t = 0; t < tries; ++t) {
+    const auto u = static_cast<VertexId>(rng.NextBounded(n));
+    const auto v = static_cast<VertexId>(rng.NextBounded(n));
+    if (u == v || degree[u] == max_degree || degree[v] == max_degree ||
+        adjacent[u * n + v]) {
+      continue;
+    }
+    adjacent[u * n + v] = adjacent[v * n + u] = true;
+    ++degree[u];
+    ++degree[v];
+    b.AddEdge(u, v);
+  }
+  return b.Build();
+}
+
+TEST(MeasuresTest, NeighborhoodMatchesBruteForceRootedIsomorphism) {
+  Rng rng(223);
+  // A hub on a 6-cycle and a hub on two triangles: colour refinement of
+  // the rooted ego nets cannot tell them apart, the isomorphism split must.
+  GraphBuilder hubs(14);
+  for (VertexId i = 0; i < 6; ++i) {
+    hubs.AddEdge(0, 1 + i);
+    hubs.AddEdge(1 + i, 1 + (i + 1) % 6);
+    hubs.AddEdge(7, 8 + i);
+    hubs.AddEdge(8 + i, 8 + 3 * (i / 3) + (i + 1) % 3);
+  }
+  std::vector<Graph> graphs = {hubs.Build(), Figure1Graph(), MakePetersen(),
+                               MakeGrid(4, 5), MakeBalancedTree(3, 3)};
+  for (int trial = 0; trial < 12; ++trial) {
+    graphs.push_back(BoundedDegreeGraph(40, 20 + 10 * trial, 6, rng));
+  }
+  const VertexPartition hub_classes =
+      BruteForceNeighborhoodPartition(graphs[0]);
+  EXPECT_NE(hub_classes.cell_of[0], hub_classes.cell_of[7]);
+  for (const Graph& g : graphs) {
+    EXPECT_TRUE(PartitionByMeasure(g, NeighborhoodMeasure()) ==
+                BruteForceNeighborhoodPartition(g));
+  }
+}
+
+// FNV-1a over the label bytes.
+uint64_t LabelHash(const std::vector<uint32_t>& labels) {
+  uint64_t hash = 1469598103934665603ull;
+  for (uint32_t label : labels) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      hash ^= (label >> shift) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+TEST(MeasuresTest, NeighborhoodLabelsPinnedOnDatasets) {
+  // Cell counts and label hashes recorded from the canonical-labelling
+  // implementation this measure replaced; the labels must not move.
+  struct Pin {
+    Graph graph;
+    size_t cells;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {MakeEnronLike(), 67, 0x66f5d02d4c824d4bull},
+      {MakeHepthLike(), 395, 0xc9f12fdf35869d5cull},
+      {MakeHepthLike(kDefaultDatasetSeed + 1), 420, 0xf8ac411cb2d8abfeull},
+      {MakeNetTraceLike(), 169, 0xd42ba35f39b2668cull},
+  };
+  for (const Pin& pin : pins) {
+    const std::vector<uint32_t> labels = NeighborhoodMeasure().eval(pin.graph);
+    EXPECT_EQ(*std::max_element(labels.begin(), labels.end()) + 1, pin.cells);
+    EXPECT_EQ(LabelHash(labels), pin.hash);
+  }
 }
 
 TEST(MeasuresTest, MeasurePartitionsAreCoarserThanOrbits) {

@@ -6,7 +6,6 @@
 
 #include <sstream>
 
-#include "aut/canonical.h"
 #include "aut/orbits.h"
 #include "datasets/datasets.h"
 #include "graph/generators.h"
@@ -23,12 +22,6 @@ TEST(DeterminismTest, OrbitPartitionIsPure) {
   const Graph g = ErdosRenyiGnm(40, 70, rng);
   EXPECT_TRUE(ComputeAutomorphismPartition(g, {}, nullptr) ==
               ComputeAutomorphismPartition(g, {}, nullptr));
-}
-
-TEST(DeterminismTest, CanonicalFormIsPure) {
-  Rng rng(257);
-  const Graph g = BarabasiAlbert(40, 2, rng);
-  EXPECT_TRUE(ComputeCanonicalForm(g) == ComputeCanonicalForm(g));
 }
 
 TEST(DeterminismTest, AnonymizationIsPure) {

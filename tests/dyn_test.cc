@@ -496,7 +496,7 @@ TEST(PlanCacheTest, CountsHitsAndMisses) {
   ASSERT_NE(inserted, nullptr);
   auto hit = cache.GetPlan(7);
   EXPECT_EQ(hit.get(), inserted.get());
-  const PlanCacheStats stats = cache.stats();
+  const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
@@ -532,7 +532,7 @@ TEST(PlanCacheTest, EvictsPastTheByteBudgetButNeverTheNewInsert) {
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(cache.GetPlan(2).get(), second.get());
   EXPECT_EQ(cache.GetPlan(1), nullptr);  // Evicted.
-  const PlanCacheStats stats = cache.stats();
+  const CacheStats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_GT(stats.peak_resident_bytes, stats.resident_bytes);
   // Pinning: the evicted entry stays alive through the held shared_ptr.

@@ -225,7 +225,7 @@ TEST(ParallelEvalTest, AttackMeasuresMatchSequential) {
 }
 
 TEST(ParallelEvalTest, NeighborhoodMeasureCoversHubEgoNets) {
-  // A star center has an ego net over the 64-vertex exact-canonical limit,
+  // A star center has an ego net over the 64-vertex exact-isomorphism limit,
   // so the refinement-trace fallback runs inside the sharded loop too.
   Rng rng(5);
   const Graph graph = DisjointUnion(MakeStar(100), BarabasiAlbert(100, 2, rng));

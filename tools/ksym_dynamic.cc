@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
 
   // Uniform cache/session counters: same keys as the daemon's stats op,
   // so the CI greps work against either surface.
-  const ksym::dyn::PlanCacheStats cache = state.registry.plan_cache().stats();
+  const ksym::CacheStats cache = state.registry.plan_cache().stats();
   std::fprintf(stderr, "plan_cache_hits: %llu\n",
                static_cast<unsigned long long>(cache.hits));
   std::fprintf(stderr, "plan_cache_misses: %llu\n",
